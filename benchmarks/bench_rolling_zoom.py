@@ -3,8 +3,8 @@
 Builds one slide-compressed stream stored across >= 150 index blocks, then:
 
 * **rolling** — a dense rolling-window sweep (``step < window``) answered by
-  the planner's incremental composer (prefix sums + monotonic deques over
-  block summaries and bridge atoms) vs the per-window decode path: every
+  the planner's array window composer (range reductions over block
+  summaries and bridge atoms) vs the per-window decode path: every
   window read, reconstructed and aggregated from scratch.  Asserted >= 10x
   unless ``--no-assert``; answers are additionally checked against a single
   whole-range decode sweep (the exact reference semantics).
@@ -87,7 +87,7 @@ def bench_rolling(store: SegmentStore, sweeps: int) -> Tuple[float, float, int]:
     entry = store.describe("s")
     lo, hi = entry.first_time, entry.last_time
     window = (hi - lo) / 60
-    step = window / 4  # 4x overlap: the incremental composer's home turf
+    step = window / 4  # 4x overlap
 
     # Correctness reference (untimed): one whole-range decode, array sweep.
     reference = window_aggregates(

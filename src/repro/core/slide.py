@@ -850,6 +850,8 @@ class SlideFilter(StreamFilter):
                 low, high = sorted((self._upper[i].slope, self._lower[i].slope))
                 joined = Line.from_point_slope(t_z, x_z, float(np.clip(g_prev.slope, low, high)))
             lines.append(joined)
+        if not self._interval_is_safe(lines):
+            return None
         value = np.array([prev.lines[i].value_at(connection_time) for i in range(self._dimensions)])
         self._emit(connection_time, value, RecordingKind.SEGMENT_END)
         self._connection_time = connection_time
@@ -878,6 +880,9 @@ class SlideFilter(StreamFilter):
             if low <= slope_prev <= high:
                 return [(-infinity, infinity)]
             return [(t_z, t_z)]
+        if low == slope_prev == high:
+            # Parallel, distinct lines never meet.
+            return []
 
         def meet(slope: float) -> Optional[float]:
             if slope == slope_prev:
@@ -1043,6 +1048,27 @@ class SlideFilter(StreamFilter):
         intercepts = np.array([line.intercept for line in lines])
         within = kernels.within_epsilon_mask(
             times, values, slopes, intercepts, epsilon, _VALIDATION_SLACK
+        )
+        return bool(within.all())
+
+    def _interval_is_safe(self, lines: List[Line]) -> bool:
+        """Verify a gap-joined segment against the current interval's points.
+
+        A gap connection meets ``gᵏ⁻¹`` at or after its last point, so ``gᵏ``
+        takes over none of interval k-1 and only interval k needs checking —
+        the cheap half of :meth:`_connection_is_safe`.
+        """
+        if not self.validate_connections or self._raw_times is None:
+            return True
+        slopes = np.array([line.slope for line in lines])
+        intercepts = np.array([line.intercept for line in lines])
+        within = kernels.within_epsilon_mask(
+            np.asarray(self._raw_times),
+            self._raw_value_matrix(),
+            slopes,
+            intercepts,
+            self._epsilon_array(),
+            _VALIDATION_SLACK,
         )
         return bool(within.all())
 

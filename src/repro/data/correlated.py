@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy import stats
 
 __all__ = ["CorrelatedWalkConfig", "correlated_random_walk"]
 
@@ -85,6 +84,11 @@ def correlated_random_walk(
         ``(times, values)`` where ``times`` has shape ``(n,)`` and ``values``
         has shape ``(n, d)``.
     """
+    # Imported here, not at module level: ``repro.cli`` reaches this module
+    # through the dataset registry, and scipy.stats would add ~70 MiB and
+    # most of a second to every ``repro serve`` start.
+    from scipy import stats
+
     rng = np.random.default_rng(config.seed)
     times = np.arange(config.length, dtype=float) * config.time_step
     values = np.full((config.length, config.dimensions), config.initial_value, dtype=float)

@@ -45,6 +45,7 @@ __all__ = [
     "HOLD_CODE",
     "PYRAMID_BASE",
     "pair_pieces",
+    "join_pieces",
     "summarize_block",
     "extend_summary",
     "block_summary",
@@ -80,15 +81,34 @@ def pair_pieces(kinds: np.ndarray, times: np.ndarray, values: np.ndarray) -> Pie
             np.empty((0, d)),
         )
     values = values.reshape(count, d)
-    k0, k1 = kinds[:-1], kinds[1:]
-    linear = (k1 == END_CODE) & (k0 != HOLD_CODE)
-    zero = (k0 == START_CODE) & (k1 == START_CODE)
-    hold = (k0 == HOLD_CODE) & (k1 == HOLD_CODE)
-    keep = linear | zero | hold
-    t0 = times[:-1][keep]
-    t1 = np.where(zero, times[:-1], times[1:])[keep]
-    x0 = values[:-1][keep]
-    x1 = np.where(linear[:, None], values[1:], values[:-1])[keep]
+    return join_pieces(kinds[:-1], times[:-1], values[:-1], kinds[1:], times[1:], values[1:])
+
+
+def join_pieces(
+    left_kinds: np.ndarray,
+    left_times: np.ndarray,
+    left_values: np.ndarray,
+    right_kinds: np.ndarray,
+    right_times: np.ndarray,
+    right_values: np.ndarray,
+) -> Pieces:
+    """The material piece between each left record and its right neighbour.
+
+    The pairing rules of :func:`pair_pieces`, applied to explicit record
+    pairs (values of shape ``(pairs, d)``) — e.g. the boundary records of
+    adjacent blocks, which form the bridge pieces.  Gap pairs contribute
+    nothing.
+    """
+    # The material pairs are exactly START/END -> END, START -> START and
+    # HOLD -> HOLD: same kinds on both sides, or START -> END.  Among them,
+    # a right END makes the piece linear and a right START zero-length.
+    keep = (left_kinds == right_kinds) | (
+        (left_kinds == START_CODE) & (right_kinds == END_CODE)
+    )
+    t0 = left_times[keep]
+    t1 = np.where(right_kinds == START_CODE, left_times, right_times)[keep]
+    x0 = left_values[keep]
+    x1 = np.where((right_kinds == END_CODE)[:, None], right_values, left_values)[keep]
     return t0, x0, t1, x1
 
 

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from repro.approximation.reconstruct import reconstruct
+from repro.core.types import Recording, RecordingKind
 from repro.data.random_walk import RandomWalkConfig, random_walk
 from repro.data.sst import sea_surface_temperature
+from repro.storage import SegmentStore, ShardedStore
 
 
 # --------------------------------------------------------------------------- #
@@ -61,3 +63,50 @@ def assert_within_bound(result, times, values, epsilon, slack: float = 1e-8):
 def within_bound_checker():
     """Expose :func:`assert_within_bound` as a fixture."""
     return assert_within_bound
+
+
+# --------------------------------------------------------------------------- #
+# Synthetic record streams (query planner edge cases)
+# --------------------------------------------------------------------------- #
+def synthetic_recordings(seed, count=700, dimensions=1, offset=0.0):
+    """A START/END mix with every pairing the planner distinguishes.
+
+    Connected runs (``END → END``), wide ``END → START`` gaps (a time jump
+    of 30-60 units), ``START → START`` zero-length pieces, and a stream
+    that may end on a ``START`` (a trailing zero-length piece).
+    """
+    rng = np.random.default_rng(seed)
+    steps = rng.uniform(0.5, 3.0, count)
+    roll = rng.random(count)
+    kinds = np.where(roll < 0.2, "start", "end")
+    kinds[0] = "start"
+    gap = (kinds == "start") & (np.roll(kinds, 1) == "end")
+    steps[gap] += rng.uniform(30.0, 60.0, int(gap.sum()))
+    times = offset + np.cumsum(steps)
+    values = np.cumsum(rng.normal(0.0, 1.0, (count, dimensions)), axis=0)
+    kind_of = {"start": RecordingKind.SEGMENT_START, "end": RecordingKind.SEGMENT_END}
+    return [
+        Recording(float(t), v, kind_of[k]) for t, v, k in zip(times, values, kinds)
+    ]
+
+
+def gap_bounds(recordings, minimum=20.0):
+    """``(end time, start time)`` of every END → START gap wider than ``minimum``."""
+    return [
+        (left.time, right.time)
+        for left, right in zip(recordings, recordings[1:])
+        if left.kind is RecordingKind.SEGMENT_END
+        and right.kind is RecordingKind.SEGMENT_START
+        and right.time - left.time > minimum
+    ]
+
+
+def synthetic_store(tmp_path, shards, recordings, block_records=8):
+    """Stream ``"s"`` in a plain store (``shards == 1``) or a sharded one."""
+    if shards == 1:
+        store = SegmentStore(tmp_path / "plain", block_records=block_records)
+    else:
+        store = ShardedStore(tmp_path / "sharded", shards=shards, block_records=block_records)
+    store.append("s", recordings)
+    store.flush()
+    return store

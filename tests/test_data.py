@@ -1,5 +1,10 @@
 """Tests for the workload generators and the dataset registry."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -109,6 +114,16 @@ class TestCorrelatedWalk:
             CorrelatedWalkConfig(dimensions=0)
         with pytest.raises(ValueError):
             CorrelatedWalkConfig(correlation=1.5)
+
+    def test_cli_import_does_not_load_scipy(self):
+        """The serve path reaches this module; scipy loads only on use."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, repro.cli; print('scipy' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert result.stdout.strip() == "False"
 
 
 class TestSeaSurfaceTemperature:

@@ -22,6 +22,7 @@ import pytest
 from repro.api.session import StreamDB
 from repro.approximation.reconstruct import reconstruct
 from repro.core.registry import create_filter
+from repro.core.types import Recording, RecordingKind
 from repro.queries.aggregates import range_aggregate, resample, window_aggregates
 from repro.queries.planner import (
     PlannerFallback,
@@ -31,6 +32,8 @@ from repro.queries.planner import (
     plan_window_aggregates,
 )
 from repro.storage import SegmentStore, ShardedStore
+
+from conftest import gap_bounds, synthetic_recordings, synthetic_store
 
 REL = 1e-9
 ABS = 1e-9
@@ -175,6 +178,181 @@ class TestPlannerEquivalence:
                 plan_range_aggregate(sharded, "s", a, b, min_blocks=0),
                 plan_range_aggregate(plain, "s", a, b, min_blocks=0),
             )
+
+
+class TestResampleComposer:
+    """Whole-grid value probes against the decode path, edge case by edge case."""
+
+    @staticmethod
+    def reference(store, step, a, b):
+        return resample(reconstruct(store.read("s", a, b)), a, b, step)
+
+    @staticmethod
+    def assert_grid(got, ref):
+        np.testing.assert_array_equal(got[0], ref[0])
+        np.testing.assert_allclose(got[1], ref[1], rtol=REL, atol=ABS)
+
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    def test_random_grids_match_decode(self, tmp_path, shards):
+        recordings = synthetic_recordings(31, dimensions=3)
+        store = synthetic_store(tmp_path, shards, recordings)
+        lo, hi = recordings[0].time, recordings[-1].time
+        rng = np.random.default_rng(37)
+        for _ in range(40):
+            # Grids start before the first record and run past the last.
+            a = rng.uniform(lo - 80.0, hi - 50.0)
+            b = a + rng.uniform(20.0, (hi - lo) * 1.1)
+            step = (b - a) / rng.uniform(5.0, 150.0)
+            got = plan_resample(store, "s", step, a, b, min_blocks=0)
+            self.assert_grid(got, self.reference(store, step, a, b))
+
+    def test_probes_on_block_boundaries_and_in_gaps(self, tmp_path):
+        recordings = synthetic_recordings(41, dimensions=3)
+        store = synthetic_store(tmp_path, 1, recordings)
+        plan = StreamQueryPlan(store, "s")
+        blocks = store.summary_range("s")
+        starts = np.array([float(block[2]) for block in blocks])
+        ends = np.array([float(block[3]) for block in blocks])
+        # Block edges, inter-block gaps, and the wide END -> START gaps.
+        gaps = [np.mean(gap) for gap in gap_bounds(recordings)]
+        times = np.concatenate((starts, ends, 0.5 * (ends[:-1] + starts[1:]), gaps))
+        for a, b in ((starts[0], ends[-1]), (starts[3] + 0.1, ends[-4] - 0.1)):
+            probes = np.sort(times[(times >= a) & (times <= b)])
+            head, after = plan._subset_bounds(a, b)
+            got = plan._values_at(probes, head, after, None)
+            ref = reconstruct(store.read("s", a, b)).values_at(probes)
+            np.testing.assert_allclose(got, ref, rtol=REL, atol=ABS)
+            for dimension in (1, 2):
+                column = plan._values_at(probes, head, after, dimension)[:, 0]
+                np.testing.assert_allclose(column, ref[:, dimension], rtol=REL, atol=ABS)
+
+    def test_grid_on_block_boundaries(self, tmp_path):
+        """Integer record times, so a unit grid hits every block boundary."""
+        rng = np.random.default_rng(43)
+        recordings = [
+            Recording(float(t), v, kind)
+            for t, v, kind in zip(
+                np.arange(0.0, 3000.0, 3.0),
+                rng.normal(0.0, 1.0, 1000),
+                [RecordingKind.SEGMENT_START] + [RecordingKind.SEGMENT_END] * 999,
+            )
+        ]
+        store = synthetic_store(tmp_path, 2, recordings)
+        for a, b, step in ((0.0, 2997.0, 24.0), (120.0, 1800.0, 24.0), (-12.0, 3012.0, 6.0)):
+            got = plan_resample(store, "s", step, a, b, min_blocks=0)
+            self.assert_grid(got, self.reference(store, step, a, b))
+
+    def test_zero_length_pieces_and_points_past_the_end(self, tmp_path):
+        recordings = synthetic_recordings(47)
+        # End on an unmatched START: the stream's final zero-length piece.
+        final = Recording(recordings[-1].time + 2.0, np.array([5.0]), RecordingKind.SEGMENT_START)
+        recordings.append(final)
+        store = synthetic_store(tmp_path, 1, recordings)
+        lo, hi = recordings[0].time, recordings[-1].time
+        for a, b in ((lo, hi + 50.0), (hi - 300.0, hi + 5.0), (lo - 20.0, lo + 200.0)):
+            got = plan_resample(store, "s", (b - a) / 37, a, b, min_blocks=0)
+            self.assert_grid(got, self.reference(store, (b - a) / 37, a, b))
+
+    def test_hold_stream_from_cache_filter(self, tmp_path):
+        store = fill_store(tmp_path, "cache", seed=53)
+        lo, hi = StreamQueryPlan(store, "s").time_bounds()
+        for a, b in ((lo - 30.0, hi + 30.0), (lo + 100.0, lo + 400.0)):
+            got = plan_resample(store, "s", (b - a) / 61, a, b, min_blocks=0)
+            self.assert_grid(got, self.reference(store, (b - a) / 61, a, b))
+
+    def test_hold_grid_on_record_times(self, tmp_path):
+        """A step landing exactly on a HOLD record takes that record's value."""
+        rng = np.random.default_rng(71)
+        filt = create_filter("cache", 0.5)
+        times = np.arange(0.0, 4000.0)
+        recordings = filt.process_batch(times, np.cumsum(rng.normal(0.0, 1.0, 4000)).reshape(-1, 1))
+        recordings += filt.finish()
+        store = synthetic_store(tmp_path, 1, recordings)
+        record_times = {r.time for r in recordings}
+        for a, b, step in ((0.0, 3999.0, 9.0), (101.0, 2900.0, 13.0)):
+            got = plan_resample(store, "s", step, a, b, min_blocks=0)
+            assert record_times & set(got[0].tolist())
+            self.assert_grid(got, self.reference(store, step, a, b))
+
+    def test_live_tail_is_the_trailing_block(self, tmp_path):
+        recordings = synthetic_recordings(59, dimensions=3)
+        split = len(recordings) - 9
+        stored = synthetic_store(tmp_path, 1, recordings[:split])
+        full = SegmentStore(tmp_path / "full", block_records=8)
+        full.append("s", recordings)
+        full.flush()
+        lo, hi = recordings[0].time, recordings[-1].time
+        for a, b in ((lo, hi), (recordings[split - 30].time, hi + 25.0)):
+            got = plan_resample(
+                stored, "s", (b - a) / 41, a, b, tail=recordings[split:], min_blocks=0
+            )
+            self.assert_grid(got, self.reference(full, (b - a) / 41, a, b))
+
+    def test_resample_decodes_only_the_blocks_grid_points_land_in(self, tmp_path, monkeypatch):
+        import repro.queries.planner as planner_module
+
+        store = synthetic_store(tmp_path, 1, synthetic_recordings(61, count=3000), block_records=16)
+        blocks = store.summary_range("s")
+        starts = np.array([float(block[2]) for block in blocks])
+        ends = np.array([float(block[3]) for block in blocks])
+        decodes = []
+        original = SegmentStore.read_block_arrays
+
+        def counting(self, name, lo_block, hi_block):
+            decodes.extend(range(lo_block, hi_block))
+            return original(self, name, lo_block, hi_block)
+
+        def forbid(*args, **kwargs):  # pragma: no cover - failure path
+            raise AssertionError("resample fell back to the decode path")
+
+        monkeypatch.setattr(SegmentStore, "read_block_arrays", counting)
+        monkeypatch.setattr(planner_module, "_reference_recordings", forbid)
+        rng = np.random.default_rng(67)
+        for _ in range(25):
+            a = rng.uniform(starts[0], ends[-1] - 500.0)
+            b = a + rng.uniform(200.0, (ends[-1] - starts[0]) / 2)
+            del decodes[:]
+            step = (b - a) / rng.uniform(5.0, 20.0)
+            times, _ = plan_resample(store, "s", step, a, b, min_blocks=0)
+            # The block a grid point lands in — for a point between blocks,
+            # the next one, whose first piece may answer it; past the end,
+            # the last — plus the block holding the subset's last record.
+            landed = np.searchsorted(ends, np.append(times, b), side="left")
+            allowed = set(np.minimum(landed, len(ends) - 1).tolist())
+            assert set(decodes) <= allowed, (a, b)
+            assert len(decodes) == len(set(decodes))  # each block decodes once
+
+
+    def test_dense_grid_reads_each_block_once_through_the_fallback(
+        self, tmp_path, monkeypatch
+    ):
+        recordings = synthetic_recordings(73, count=2000)
+        store = synthetic_store(tmp_path, 1, recordings, block_records=16)
+        lo, hi = recordings[0].time, recordings[-1].time
+        ranges = ((lo, hi), (lo + 300.0, hi - 300.0))
+        # Twice as many grid points as records.
+        steps = [(b - a) / 4000.0 for a, b in ranges]
+        refs = [self.reference(store, step, a, b) for (a, b), step in zip(ranges, steps)]
+        planned, reads = [], []
+        original_blocks, original_read = SegmentStore.read_block_arrays, SegmentStore.read
+
+        def counting_blocks(self, name, lo_block, hi_block, **kwargs):
+            planned.extend(range(lo_block, hi_block))
+            return original_blocks(self, name, lo_block, hi_block, **kwargs)
+
+        def counting_read(self, name, start=None, end=None, **kwargs):
+            reads.append((start, end))
+            return original_read(self, name, start, end, **kwargs)
+
+        monkeypatch.setattr(SegmentStore, "read_block_arrays", counting_blocks)
+        monkeypatch.setattr(SegmentStore, "read", counting_read)
+        for (a, b), step, ref in zip(ranges, steps, refs):
+            del planned[:], reads[:]
+            got = plan_resample(store, "s", step, a, b, min_blocks=0)
+            # The planner reads no block; the one range read decodes each once.
+            assert planned == []
+            assert reads == [(a, b)]
+            self.assert_grid(got, ref)
 
 
 class TestPlannerStructure:

@@ -1,7 +1,7 @@
 """Rolling-window and zoom-pyramid parity against the decode path.
 
-The second act of the query engine — the incremental rolling-window
-composer (:meth:`StreamQueryPlan.window_aggregates` with a ``step``), the
+The second act of the query engine — the array window composer behind
+rolling windows (:meth:`StreamQueryPlan.window_aggregates` with a ``step``), the
 multi-resolution zoom pyramid (:mod:`repro.queries.pyramid` over
 :func:`repro.storage.summaries.build_pyramid`) and the warm-started tangent
 searches — must agree with the reference decode path within the documented
@@ -24,11 +24,19 @@ from repro.api.session import StreamDB
 from repro.api.specs import FilterSpec, StorageSpec
 from repro.approximation.reconstruct import reconstruct
 from repro.core.registry import create_filter
-from repro.queries.aggregates import _segments_of, clip_aggregate, window_aggregates
+from repro.core.types import Recording, RecordingKind
+from repro.queries.aggregates import (
+    _segments_of,
+    clip_aggregate,
+    rolling_edges,
+    window_aggregates,
+)
 from repro.queries.planner import StreamQueryPlan, plan_window_aggregates
 from repro.queries.pyramid import plan_zoom, zoom_cells
 from repro.storage import SegmentStore, ShardedStore
 from repro.storage.summaries import PYRAMID_BASE, block_cells, build_pyramid
+
+from conftest import gap_bounds, synthetic_recordings, synthetic_store
 
 REL = 1e-9
 ABS = 1e-9
@@ -184,6 +192,162 @@ class TestRollingParity:
             db.append("s", np.arange(10.0), np.zeros((10, 1)))
             with pytest.raises(ValueError):
                 db.aggregate("s", step=5.0)
+
+
+# --------------------------------------------------------------------------- #
+# The array window composer
+# --------------------------------------------------------------------------- #
+def reference_windows(store, a, b, window, step=None, dimension=0):
+    return window_aggregates(
+        reconstruct(store.read("s", a, b)), a, b, window, dimension=dimension, step=step
+    )
+
+
+def assert_windows(got, ref):
+    assert len(got) == len(ref)
+    for g, r in zip(got, ref):
+        assert g.start == r.start and g.end == r.end
+        assert_close(g, r)
+
+
+class TestWindowComposer:
+    """Tumbling and rolling sweeps against the decode path, edge case by edge case."""
+
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    def test_random_sweeps_match_decode(self, tmp_path, shards):
+        recordings = synthetic_recordings(3, dimensions=3)
+        store = synthetic_store(tmp_path, shards, recordings)
+        lo, hi = recordings[0].time, recordings[-1].time
+        rng = np.random.default_rng(5)
+        for _ in range(30):
+            # Outer ranges reach before the first record and past the last.
+            a = rng.uniform(lo - 80.0, hi - 50.0)
+            b = a + rng.uniform(20.0, (hi - lo) * 1.1)
+            window = rng.uniform(0.5, (b - a) / 4)
+            # Tumbling, overlapping, and hopping past the window (gaps).
+            step = (None, window * rng.uniform(0.1, 0.9), window * rng.uniform(1.1, 3.0))[
+                int(rng.integers(0, 3))
+            ]
+            dimension = int(rng.integers(0, 3))
+            got = plan_window_aggregates(
+                store, "s", window, a, b, dimension, step=step, min_blocks=0
+            )
+            assert_windows(got, reference_windows(store, a, b, window, step, dimension))
+
+    def test_sweeps_entirely_outside_the_span(self, tmp_path):
+        recordings = synthetic_recordings(7)
+        store = synthetic_store(tmp_path, 1, recordings)
+        lo, hi = recordings[0].time, recordings[-1].time
+        for a, b in ((lo - 90.0, lo - 10.0), (hi + 5.0, hi + 70.0), (lo - 40.0, hi + 40.0)):
+            for step in (None, 3.0, 17.0):
+                got = plan_window_aggregates(store, "s", 9.0, a, b, step=step, min_blocks=0)
+                assert_windows(got, reference_windows(store, a, b, 9.0, step))
+
+    def test_windows_inside_gaps(self, tmp_path):
+        recordings = synthetic_recordings(11, dimensions=3)
+        store = synthetic_store(tmp_path, 2, recordings)
+        gaps = gap_bounds(recordings)
+        assert len(gaps) >= 10
+        for left, right in gaps[:10]:
+            # Every window of these sweeps (or all but the outermost) lies
+            # strictly inside the gap: the subset trapezoid answers it.
+            a, b = left - 4.0, right + 4.0
+            for step in (None, 2.0, 7.5):
+                for dimension in (0, 2):
+                    got = plan_window_aggregates(
+                        store, "s", 3.0, a, b, dimension, step=step, min_blocks=0
+                    )
+                    assert_windows(got, reference_windows(store, a, b, 3.0, step, dimension))
+
+    def test_zero_width_windows(self, tmp_path):
+        """Edges that round onto each other (far from zero) give point windows."""
+        recordings = synthetic_recordings(13, offset=1e6)
+        store = synthetic_store(tmp_path, 1, recordings)
+        middle = recordings[len(recordings) // 2].time
+        for a in (middle, recordings[3].time + 0.3, gap_bounds(recordings)[2][0] + 1.0):
+            b = a + 2e-9
+            got = plan_window_aggregates(store, "s", 1e-11, a, b, min_blocks=0)
+            assert any(g.start == g.end for g in got)
+            assert_windows(got, reference_windows(store, a, b, 1e-11))
+            got = plan_window_aggregates(store, "s", 3e-10, a, b, step=1e-11, min_blocks=0)
+            assert_windows(got, reference_windows(store, a, b, 3e-10, 1e-11))
+
+    def test_narrow_windows_at_the_end_of_a_long_stream(self, tmp_path):
+        """A window's sums cover its own elements, not the stream before it."""
+        rng = np.random.default_rng(31)
+        # 2,000 records over 1e9 time units at values near 1,000, then 2,000
+        # unit-spaced ones: the integral before the swept range is ~1e12.
+        times = np.concatenate((np.linspace(0.0, 1e9, 2000), 1e9 + np.arange(1.0, 2001.0)))
+        values = 1000.0 + np.cumsum(rng.normal(0.0, 1.0, times.shape[0]))
+        kinds = [RecordingKind.SEGMENT_START] + [RecordingKind.SEGMENT_END] * (len(times) - 1)
+        recordings = [
+            Recording(float(t), np.array([v]), kind) for t, v, kind in zip(times, values, kinds)
+        ]
+        store = synthetic_store(tmp_path, 1, recordings)
+        a, b = 1e9 + 500.0, 1e9 + 1500.0
+        for step in (None, 4.0):
+            got = plan_window_aggregates(store, "s", 10.0, a, b, step=step, min_blocks=0)
+            assert_windows(got, reference_windows(store, a, b, 10.0, step))
+
+    @pytest.mark.parametrize("step", [None, 2.0, 40.0])
+    def test_hold_stream_from_cache_filter(self, tmp_path, step):
+        store = fill_store(tmp_path, "cache", seed=17)
+        lo, hi = StreamQueryPlan(store, "s").time_bounds()
+        for a, b in ((lo - 30.0, hi + 30.0), (lo + 100.0, lo + 400.0)):
+            got = plan_window_aggregates(store, "s", 13.0, a, b, step=step, min_blocks=0)
+            assert_windows(got, reference_windows(store, a, b, 13.0, step))
+
+    def test_live_tail_is_the_trailing_block(self, tmp_path):
+        recordings = synthetic_recordings(19, dimensions=3)
+        split = len(recordings) - 9
+        store = synthetic_store(tmp_path, 1, recordings[:split])
+        tail = recordings[split:]
+        full = SegmentStore(tmp_path / "full", block_records=8)
+        full.append("s", recordings)
+        full.flush()
+        lo, hi = recordings[0].time, recordings[-1].time
+        for a, b in ((lo, hi), (recordings[split - 20].time, hi + 25.0)):
+            for step in (None, 1.5, 9.0):
+                for dimension in (0, 1):
+                    got = plan_window_aggregates(
+                        store, "s", 6.0, a, b, dimension, step=step, tail=tail, min_blocks=0
+                    )
+                    assert_windows(got, reference_windows(full, a, b, 6.0, step, dimension))
+
+    def test_sweep_decodes_only_the_cut_blocks(self, tmp_path, monkeypatch):
+        store = fill_store(tmp_path, "slide", seed=23, points=4000)
+        blocks = store.summary_range("s")
+        starts = np.array([float(block[2]) for block in blocks])
+        ends = np.array([float(block[3]) for block in blocks])
+        lo, hi = float(starts[0]), float(ends[-1])
+        decodes = []
+        original = SegmentStore.read_block_arrays
+
+        def counting(self, name, lo_block, hi_block):
+            decodes.extend(range(lo_block, hi_block))
+            return original(self, name, lo_block, hi_block)
+
+        monkeypatch.setattr(SegmentStore, "read_block_arrays", counting)
+        rng = np.random.default_rng(29)
+        for _ in range(25):
+            a = rng.uniform(lo, hi - 200.0)
+            b = a + rng.uniform(100.0, (hi - lo) / 2)
+            window = (b - a) / rng.uniform(3.0, 30.0)
+            step = window * rng.choice([0.25, 1.0, 2.5])
+            del decodes[:]
+            plan_window_aggregates(store, "s", window, a, b, step=step, min_blocks=0)
+            # The outer bounds join the window edges: with hops longer than
+            # the window no edge need reach ``b``, yet the subset is cut there.
+            edges = np.concatenate((*rolling_edges(a, b, window, step), [a, b]))
+            cut = {int(i) for e in edges for i in np.flatnonzero((starts <= e) & (e <= ends))}
+            if b > ends[-1]:
+                cut.add(len(ends) - 1)  # the stream's last piece extends past its end
+            # Blocks wholly inside windows answer from their summaries; only
+            # the blocks an edge falls in decode, plus the next ones when
+            # resolving the subset's first piece needs their records.
+            first = int(np.searchsorted(ends, a))
+            assert set(decodes) - cut <= {first, first + 1}, (a, b)
+            assert len(decodes) == len(set(decodes))  # each block decodes once
 
 
 # --------------------------------------------------------------------------- #

@@ -224,3 +224,37 @@ class TestMaxLag:
         bounded = SlideFilter(epsilon, max_lag=8).process(zip(times, values))
         unbounded = SlideFilter(epsilon).process(zip(times, values))
         assert bounded.recording_count >= unbounded.recording_count
+
+
+@pytest.fixture(scope="module")
+def quantized_sst():
+    from repro.data.sst import sea_surface_temperature
+
+    return sea_surface_temperature(length=1_000_000, seed=5)
+
+
+class TestQuantizedSstRegressions:
+    """Slices of a quantized SST series that used to break ``SlideFilter(0.04)``.
+
+    The first two hit bounds parallel to the previous segment (the
+    admissible-time interval came back with a ``None`` end and crashed the
+    interval intersection); the third made an unchecked gap connection that
+    overshot ε by 5.9 %.
+    """
+
+    @pytest.mark.parametrize(
+        "lo, hi", [(0, 8_500), (200_001, 230_000), (165_000, 180_000)]
+    )
+    def test_batch_and_per_point_paths_agree_within_bound(self, quantized_sst, lo, hi):
+        times, values = quantized_sst[0][lo:hi], quantized_sst[1][lo:hi]
+        batch = SlideFilter(0.04)
+        batched = batch.process_batch(times, values.reshape(-1, 1)) + batch.finish()
+        single = SlideFilter(0.04)
+        fed = []
+        for time, value in zip(times, values):
+            fed += single.feed(float(time), value)
+        fed += single.finish()
+        assert [(r.kind, r.time) for r in fed] == [(r.kind, r.time) for r in batched]
+        for a, b in zip(fed, batched):
+            assert np.array_equal(np.atleast_1d(a.value), np.atleast_1d(b.value))
+        assert_within_bound(batched, times, values, 0.04)
