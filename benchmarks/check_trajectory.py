@@ -93,8 +93,8 @@ def main(argv=None) -> int:
         fresh_metrics = load(fresh_path).get("metrics", {})
         value = headline(name, fresh_metrics)
         if floor is None or value is None:
-            print(f"  {name:<18} {value if value is None else f'{value:.2f}x':>8}  "
-                  "informational (no committed floor)")
+            shown = "-" if value is None else f"{value:.2f}x"
+            print(f"  {name:<18} {shown:>8}  informational (no committed floor)")
             continue
         enforced = fresh_metrics.get("asserted_floor") is not None
         status = "OK" if value >= floor else "FAIL"

@@ -58,7 +58,7 @@ import numpy as np
 from repro.api.specs import UNSET, FilterSpec, IngestSpec, StorageSpec
 from repro.approximation.piecewise import Approximation
 from repro.approximation.reconstruct import reconstruct
-from repro.core.base import StreamFilter
+from repro.core.base import StreamFilter, check_finite
 from repro.core.registry import restore_filter
 from repro.core.state import FilterState
 from repro.core.types import Recording
@@ -594,6 +594,9 @@ class StreamDB:
         self._check_writable()
         live = self._live.get(stream)
         if live is None:
+            # Reject a bad first chunk before an ε percentage resolves
+            # against it (the filter would reject it only afterwards).
+            check_finite(np.asarray(times, dtype=float), np.asarray(values, dtype=float))
             fspec = self._require_filter_spec()
             live = _LiveStream(
                 filter=fspec.create(values),

@@ -5,8 +5,8 @@ points and emits *recordings* — the endpoints of the line segments making up
 the error-bounded approximation.  :class:`StreamFilter` implements everything
 that is common to the cache, linear, swing and slide filters:
 
-* validation of the incoming stream (strictly increasing times, constant
-  dimensionality),
+* validation of the incoming stream (finite, strictly increasing times,
+  finite values, constant dimensionality),
 * lazy resolution of the ε specification against the first data point,
 * bookkeeping of emitted recordings and processed points,
 * the public :meth:`feed` / :meth:`finish` / :meth:`process` API.
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import abc
 import copy
+import math
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -31,7 +32,7 @@ from repro.core.errors import (
 from repro.core.state import FilterState
 from repro.core.types import DataPoint, FilterResult, Recording, RecordingKind
 
-__all__ = ["StreamFilter"]
+__all__ = ["StreamFilter", "check_finite"]
 
 EpsilonSpec = Union[ErrorBound, float, Sequence[float]]
 
@@ -43,6 +44,26 @@ _BASE_STATE_FIELDS = (
     "_points_processed",
     "_finished",
 )
+
+
+def check_finite(times: np.ndarray, values: np.ndarray) -> None:
+    """Reject a chunk holding a NaN or infinite time or value.
+
+    Args:
+        times: Float array of shape ``(n,)``.
+        values: Float array of shape ``(n,)`` or ``(n, d)``.
+
+    Raises:
+        ValueError: Naming the first index whose time or value is not finite.
+    """
+    if np.isfinite(times).all() and np.isfinite(values).all():
+        return
+    finite = np.isfinite(times) & np.isfinite(values.reshape(times.shape[0], -1)).all(axis=1)
+    index = int(np.argmin(finite))
+    raise ValueError(
+        f"times and values must be finite; index {index} has time "
+        f"{float(times[index])!r} and value {np.asarray(values[index]).tolist()!r}"
+    )
 
 
 class StreamFilter(abc.ABC):
@@ -131,6 +152,9 @@ class StreamFilter(abc.ABC):
         if self._finished:
             raise FilterStateError("filter has already been finished")
         point = DataPoint(float(time), value)
+        # A float pre-test keeps the per-point cost low; check_finite raises.
+        if not (math.isfinite(point.time) and all(map(math.isfinite, point.value.tolist()))):
+            check_finite(np.array([point.time]), point.value.reshape(1, -1))
         self._validate(point)
         self._pending = []
         self._points_processed += 1
@@ -161,6 +185,8 @@ class StreamFilter(abc.ABC):
 
         Raises:
             FilterStateError: If the filter has already been finished.
+            ValueError: If a time or value is NaN or infinite (see
+                :func:`check_finite`); the filter state is left untouched.
             StreamOrderError: If the timestamps are not strictly increasing.
             DimensionMismatchError: If ``d`` differs from earlier points.
         """
@@ -191,6 +217,7 @@ class StreamFilter(abc.ABC):
             )
         if times.size == 0:
             return []
+        check_finite(times, values)
         if self._dimensions is None:
             self._dimensions = int(values.shape[1])
             self._epsilon = ErrorBound.of(self._epsilon_spec, self._dimensions)

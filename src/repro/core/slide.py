@@ -26,6 +26,8 @@ the number of hull vertices, and O(n_interval) without it.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -66,6 +68,32 @@ _SCALAR_EXIT_STREAK = 8
 #: amortize the probe and are bulk-absorbed.
 _SCALAR_ENTER_RUN = 16
 _PROBE_ENTER_STREAK = 16
+
+#: ``np.mean`` sums pairwise from this many elements on; shorter lists are
+#: summed left to right, which :func:`_mean` reproduces exactly.
+_PAIRWISE_MIN = 8
+
+
+def _clip(value: float, low: float, high: float) -> float:
+    """``float(np.clip(value, low, high))`` on Python floats.
+
+    Bit-identical to ``np.clip`` (signed zeros and infinities included)
+    whenever neither bound is NaN; the filter only clips to bounds it has
+    ordered or checked for finiteness first.
+    """
+    value = low if value < low else value
+    return high if value > high else value
+
+
+def _mean(values: Sequence[float]) -> float:
+    """``float(np.mean(values))`` for a non-empty sequence of floats."""
+    count = len(values)
+    if count >= _PAIRWISE_MIN:
+        return float(np.mean(values))
+    total = 0.0
+    for value in values:
+        total += value
+    return total / count
 
 
 def _safe_line(t1: float, x1: float, t2: float, x2: float) -> Optional[Line]:
@@ -111,8 +139,9 @@ class _PreviousSegment:
     start_time: float
     end_time: float
     min_connection_time: float
-    #: Buffered interval points as a ``(times (n,), values (n, d))`` pair.
-    points: Optional[Tuple[np.ndarray, np.ndarray]]
+    #: The interval's buffered ``(_raw_times, _raw_values)`` lists, handed
+    #: over as they are (``None`` when the filter does not buffer points).
+    points: Optional[Tuple[List[float], list]]
 
 
 class SlideFilter(StreamFilter):
@@ -198,16 +227,19 @@ class SlideFilter(StreamFilter):
         #: (only kept when connection validation or the non-hull variant
         #: needs them).
         self._raw_times: Optional[List[float]] = None
-        self._raw_values: Optional[List[np.ndarray]] = None
+        self._raw_values: Optional[list] = None
         #: Per-interval cache of the bounding lines' slope/intercept arrays
         #: (derived from ``_upper``/``_lower``; dropped on any bound change).
         self._bound_cache: Optional[Tuple[np.ndarray, ...]] = None
-        # Raw moments for the MSE-optimal slope through an arbitrary pivot.
+        #: The resolved ε vector as Python floats (derived from ``_epsilon``).
+        self._eps: Optional[List[float]] = None
+        # Raw moments for the MSE-optimal slope through an arbitrary pivot
+        # (per-dimension sums as lists of floats).
         self._n = 0
         self._sum_t = 0.0
         self._sum_tt = 0.0
-        self._sum_x: Optional[np.ndarray] = None
-        self._sum_xt: Optional[np.ndarray] = None
+        self._sum_x: Optional[List[float]] = None
+        self._sum_xt: Optional[List[float]] = None
         # --- cross-interval state --------------------------------------- #
         self._prev: Optional[_PreviousSegment] = None
         self._previous_interval_end: float = float("-inf")
@@ -238,6 +270,25 @@ class SlideFilter(StreamFilter):
         # The slope/intercept cache is derived from ``_upper``/``_lower``,
         # which a restore just replaced wholesale.
         self._bound_cache = None
+        self._eps = None
+        # Older snapshots hold the moment sums and the previous interval's
+        # buffered points as numpy arrays; same values, list layout.
+        if isinstance(self._sum_x, np.ndarray):
+            self._sum_x = self._sum_x.tolist()
+            self._sum_xt = self._sum_xt.tolist()
+        prev = self._prev
+        if prev is not None and prev.points is not None and isinstance(prev.points[0], np.ndarray):
+            times, values = prev.points
+            prev.points = (
+                times.tolist(),
+                values[:, 0].tolist() if values.shape[1] == 1 else list(values),
+            )
+
+    def _epsilon_list(self) -> List[float]:
+        """The resolved ε vector as Python floats (only valid after the first point)."""
+        if self._eps is None:
+            self._eps = self._epsilon_array().tolist()
+        return self._eps
 
     # ------------------------------------------------------------------ #
     # StreamFilter hooks
@@ -261,8 +312,7 @@ class SlideFilter(StreamFilter):
             return
         # Violation (Algorithm 2 line 6): close the interval, then start a new
         # one whose bounds will be defined by this point and the next.
-        self._finalize_interval(connect=self.connect_segments)
-        self._begin_interval(point)
+        self._restart_interval(point)
 
     def _process_batch(self, times: np.ndarray, values: np.ndarray) -> None:
         """Event-driven chunk processing (identical recordings to feed()).
@@ -285,11 +335,15 @@ class SlideFilter(StreamFilter):
         geometrically growing lookahead window for the next event and absorbs
         the silent points in bulk; when probes keep finding their event after
         only a few points it drops into *scalar* mode.  For 1-D hull-mode
-        streams scalar mode is the float-native :meth:`_scalar_run_1d` core
-        (per-point semantics at a fraction of the per-point cost); other
-        configurations step through :meth:`_feed_point`'s logic directly.
-        Scalar mode returns to probing once a long silent streak suggests
-        bulk absorption will win again.
+        streams scalar mode is the float-native :meth:`_scalar_run_1d` core,
+        which closes and reopens intervals itself and only hands control back
+        at the end of the chunk or to resume probing; other configurations
+        step through :meth:`_feed_point`'s logic directly.  Scalar mode
+        returns to probing once a long silent streak suggests bulk absorption
+        will win again.  The branches at the top of the loop open an interval
+        whose first point (or first two points) the chunk supplies: at the
+        start of a stream, after a chunk ended on a violation, and after a
+        violation found by a probe or by the generic scalar step.
         """
         if self.max_lag is not None or self._locked_lines is not None:
             # Bounded-lag bookkeeping is inherently sequential.
@@ -339,8 +393,7 @@ class SlideFilter(StreamFilter):
                             scalar_mode = False
                             window = _INITIAL_WINDOW
                 else:
-                    self._finalize_interval(connect=self.connect_segments)
-                    self._begin_interval(point)
+                    self._restart_interval(point)
                     silent_streak = 0
                 position += 1
                 continue
@@ -377,8 +430,7 @@ class SlideFilter(StreamFilter):
                 continue
             point = DataPoint(float(ts[run]), xs[run])
             if violates[run]:
-                self._finalize_interval(connect=self.connect_segments)
-                self._begin_interval(point)
+                self._restart_interval(point)
             else:
                 self._update_bounds(point)
                 self._absorb(point)
@@ -407,20 +459,27 @@ class SlideFilter(StreamFilter):
 
         Mirrors the per-point path expression for expression — the acceptance
         test of :meth:`_accepts`, the hull insertion and tangent updates of
-        :meth:`_update_bounds`, the moment accumulation of :meth:`_absorb` —
-        but on plain Python floats with the bounding lines unpacked into
-        slope/intercept scalars, so an event-dense stretch costs interpreter
-        arithmetic instead of the full ``DataPoint``/numpy-scalar machinery.
-        Python floats and numpy float64 are the same IEEE-754 doubles and
-        every expression keeps the reference operand order, so the recordings
-        stay bit-identical.
+        :meth:`_update_bounds`, the moment accumulation of :meth:`_absorb`,
+        and at a violation the opening of the next interval that
+        :meth:`_begin_interval`, :meth:`_open_bounds` and the second point's
+        :meth:`_absorb` perform — but on plain Python floats with the
+        bounding lines unpacked into slope/intercept scalars, so an
+        event-dense stretch costs interpreter arithmetic instead of the full
+        ``DataPoint``/numpy-scalar machinery.  Python floats and numpy float64
+        are the same IEEE-754 doubles and every expression keeps the reference
+        operand order, so the recordings stay bit-identical.
+
+        A violation closes the interval through the shared
+        :meth:`_finalize_interval` (the loop first stores the bounds and
+        moments it holds in locals) and the loop carries on with the next
+        interval; only when the violating point is the chunk's last does the
+        new interval wait, holding just that point, for the next chunk.  The
+        remaining locals are written back once, before returning.
 
         Requires open bounds, hull mode, one dimension and no bounded-lag
-        state.  Violations finalize and restart the interval inline (the
-        caller's bootstrap branch then re-opens the bounds).  Returns
-        ``(next_position, switch_to_probing)``.
+        state.  Returns ``(next_position, switch_to_probing)``.
         """
-        eps = float(self._epsilon_array()[0])
+        eps = self._epsilon_list()[0]
         upper_line = self._upper[0]
         lower_line = self._lower[0]
         upper_slope = float(upper_line.slope)
@@ -432,28 +491,77 @@ class SlideFilter(StreamFilter):
         upper_hint = self._upper_hints[0] if self._upper_hints is not None else 0
         lower_hint = self._lower_hints[0] if self._lower_hints is not None else 0
         raw_times = self._raw_times
-        time_append = raw_times.append if raw_times is not None else None
-        value_append = self._raw_values.append if raw_times is not None else None
+        buffering = raw_times is not None
+        time_append = raw_times.append if buffering else None
+        value_append = self._raw_values.append if buffering else None
         sum_t = self._sum_t
         sum_tt = self._sum_tt
         sum_x = float(self._sum_x[0])
         sum_xt = float(self._sum_xt[0])
         n = self._n
         interval_points = self._interval_points
+        first_time = self._first_point.time
+        end_time = self._last_point.time
+        # Chunk indices of the current interval's first and last points, or
+        # -1 while they still are the stored ``_first_point``/``_last_point``.
+        first_index = -1
+        last_index = -1
         total = len(time_list)
         position = start
-        last_index = -1
         silent_streak = 0
         switch = False
-        violation_at = -1
         while position < total:
             t = time_list[position]
             x = value_list[position]
             upper_value = upper_slope * t + upper_intercept
             lower_value = lower_slope * t + lower_intercept
             if x > upper_value + eps or x < lower_value - eps:
-                violation_at = position
-                break
+                self._upper = [upper_line]
+                self._lower = [lower_line]
+                self._n = n
+                self._sum_t = sum_t
+                self._sum_tt = sum_tt
+                self._sum_x = [sum_x]
+                self._sum_xt = [sum_xt]
+                self._finalize_interval(first_time, end_time)
+                first_index = position
+                first_time = t
+                position += 1
+                if position == total:
+                    # The chunk ends on the violation: the new interval
+                    # holds only this point until the next chunk arrives.
+                    self._begin_interval(DataPoint(t, values[first_index]))
+                    return position, False
+                # The next interval: bounds through this point and the next,
+                # which is always representable (Algorithm 2 lines 2 / 29).
+                t2 = time_list[position]
+                x2 = value_list[position]
+                upper_line = Line.from_points(t, x - eps, t2, x2 + eps)
+                lower_line = Line.from_points(t, x + eps, t2, x2 - eps)
+                upper_slope = upper_line.slope
+                upper_intercept = upper_line.intercept
+                lower_slope = lower_line.slope
+                lower_intercept = lower_line.intercept
+                hull = IncrementalConvexHull()
+                hull_add = hull.add
+                hull_add(t, x)
+                hull_add(t2, x2)
+                upper_hint = lower_hint = 0
+                if buffering:
+                    self._raw_times = raw_times = [t, t2]
+                    self._raw_values = raw_values = [x, x2]
+                    time_append = raw_times.append
+                    value_append = raw_values.append
+                n = interval_points = 2
+                sum_t = t + t2
+                sum_tt = t * t + t2 * t2
+                sum_x = x + x2
+                sum_xt = x * t + x2 * t2
+                last_index = position
+                end_time = t2
+                position += 1
+                silent_streak = 0
+                continue
             hull_add(t, x)
             updated = False
             if x > lower_value + eps:
@@ -478,10 +586,11 @@ class SlideFilter(StreamFilter):
             sum_tt += t * t
             sum_x += x
             sum_xt += x * t
-            if time_append is not None:
+            if buffering:
                 time_append(t)
                 value_append(x)
             last_index = position
+            end_time = t
             position += 1
             if updated:
                 silent_streak = 0
@@ -490,26 +599,22 @@ class SlideFilter(StreamFilter):
                 if silent_streak >= _PROBE_ENTER_STREAK and position < total:
                     switch = True
                     break
-        # Write the scalars back into the filter state before anything that
-        # reads it (finalize below, or the caller's next action).
-        self._upper[0] = upper_line
-        self._lower[0] = lower_line
+        self._upper = [upper_line]
+        self._lower = [lower_line]
+        self._hulls = [hull]
         self._upper_hints = [upper_hint]
         self._lower_hints = [lower_hint]
         self._bound_cache = None
         self._sum_t = sum_t
         self._sum_tt = sum_tt
-        self._sum_x = np.array([sum_x])
-        self._sum_xt = np.array([sum_xt])
+        self._sum_x = [sum_x]
+        self._sum_xt = [sum_xt]
         self._n = n
         self._interval_points = interval_points
+        if first_index >= 0:
+            self._first_point = DataPoint(first_time, values[first_index])
         if last_index >= 0:
-            self._last_point = DataPoint(time_list[last_index], values[last_index])
-        if violation_at >= 0:
-            point = DataPoint(time_list[violation_at], values[violation_at])
-            self._finalize_interval(connect=self.connect_segments)
-            self._begin_interval(point)
-            return violation_at + 1, False
+            self._last_point = DataPoint(end_time, values[last_index])
         return position, switch
 
     def _absorb_run(self, ts: np.ndarray, xs: np.ndarray) -> None:
@@ -523,11 +628,11 @@ class SlideFilter(StreamFilter):
         self._last_point = DataPoint(float(ts[-1]), xs[-1])
         self._interval_points += count
         self._n += count
-        self._sum_t, self._sum_tt, self._sum_x, self._sum_xt = (
-            kernels.fold_left_moment_sums(
-                self._sum_t, self._sum_tt, self._sum_x, self._sum_xt, ts, xs
-            )
+        self._sum_t, self._sum_tt, sum_x, sum_xt = kernels.fold_left_moment_sums(
+            self._sum_t, self._sum_tt, np.array(self._sum_x), np.array(self._sum_xt), ts, xs
         )
+        self._sum_x = sum_x.tolist()
+        self._sum_xt = sum_xt.tolist()
         if self._raw_times is not None:
             self._raw_times.extend(ts.tolist())
             if xs.shape[1] == 1:
@@ -551,14 +656,18 @@ class SlideFilter(StreamFilter):
             self._flush_previous_segment()
             self._emit(self._first_point.time, self._first_point.value, RecordingKind.SEGMENT_START)
             return
-        lines, _ = self._finalize_interval(connect=self.connect_segments)
         end_time = self._last_point.time
-        end_value = np.array([line.value_at(end_time) for line in lines])
-        self._emit(end_time, end_value, RecordingKind.SEGMENT_END)
+        lines = self._finalize_interval(self._first_point.time, end_time)
+        self._emit(end_time, [line.value_at(end_time) for line in lines], RecordingKind.SEGMENT_END)
 
     # ------------------------------------------------------------------ #
     # Interval lifecycle
     # ------------------------------------------------------------------ #
+    def _restart_interval(self, point: DataPoint) -> None:
+        """Close the current interval at a violation and begin the next at ``point``."""
+        self._finalize_interval(self._first_point.time, self._last_point.time)
+        self._begin_interval(point)
+
     def _begin_interval(self, point: DataPoint) -> None:
         self._first_point = point
         self._last_point = point
@@ -569,44 +678,39 @@ class SlideFilter(StreamFilter):
         self._upper_hints = None
         self._lower_hints = None
         self._bound_cache = None
+        values = point.value.tolist()
         if self.validate_connections or not self.use_convex_hull:
             # 1-D streams buffer plain floats (cheap appends in the batch hot
             # path); multi-dimensional streams buffer the value vectors.
             self._raw_times = [point.time]
-            self._raw_values = [
-                point.value[0] if point.value.shape[0] == 1 else point.value
-            ]
+            self._raw_values = [values[0] if len(values) == 1 else point.value]
         else:
             self._raw_times = None
             self._raw_values = None
         self._n = 1
         self._sum_t = point.time
         self._sum_tt = point.time * point.time
-        self._sum_x = point.value.copy()
-        self._sum_xt = point.value * point.time
+        self._sum_x = values
+        self._sum_xt = [value * point.time for value in values]
 
     def _open_bounds(self, first: DataPoint, second: DataPoint) -> None:
-        epsilon = self._epsilon_array()
-        dimensions = first.dimensions
+        epsilon = self._epsilon_list()
+        firsts = first.value.tolist()
+        seconds = second.value.tolist()
         self._upper = [
-            Line.from_points(
-                first.time, first.component(i) - epsilon[i],
-                second.time, second.component(i) + epsilon[i],
-            )
-            for i in range(dimensions)
+            Line.from_points(first.time, x1 - eps, second.time, x2 + eps)
+            for x1, x2, eps in zip(firsts, seconds, epsilon)
         ]
         self._lower = [
-            Line.from_points(
-                first.time, first.component(i) + epsilon[i],
-                second.time, second.component(i) - epsilon[i],
-            )
-            for i in range(dimensions)
+            Line.from_points(first.time, x1 + eps, second.time, x2 - eps)
+            for x1, x2, eps in zip(firsts, seconds, epsilon)
         ]
+        dimensions = len(firsts)
         if self.use_convex_hull:
             self._hulls = [IncrementalConvexHull() for _ in range(dimensions)]
-            for i in range(dimensions):
-                self._hulls[i].add(first.time, first.component(i))
-                self._hulls[i].add(second.time, second.component(i))
+            for hull, x1, x2 in zip(self._hulls, firsts, seconds):
+                hull.add(first.time, x1)
+                hull.add(second.time, x2)
             self._upper_hints = [0] * dimensions
             self._lower_hints = [0] * dimensions
         else:
@@ -617,28 +721,29 @@ class SlideFilter(StreamFilter):
 
     def _absorb(self, point: DataPoint) -> None:
         """Account for an accepted point (moments, buffers, lag bookkeeping)."""
+        time = point.time
+        values = point.value.tolist()
         self._last_point = point
         self._interval_points += 1
         self._n += 1
-        self._sum_t += point.time
-        self._sum_tt += point.time * point.time
-        self._sum_x = self._sum_x + point.value
-        self._sum_xt = self._sum_xt + point.value * point.time
+        self._sum_t += time
+        self._sum_tt += time * time
+        self._sum_x = [total + value for total, value in zip(self._sum_x, values)]
+        self._sum_xt = [total + value * time for total, value in zip(self._sum_xt, values)]
         if self._raw_times is not None:
-            self._raw_times.append(point.time)
-            self._raw_values.append(
-                point.value[0] if point.value.shape[0] == 1 else point.value
-            )
+            self._raw_times.append(time)
+            self._raw_values.append(values[0] if len(values) == 1 else point.value)
         if self.max_lag is not None and self._interval_points >= self.max_lag:
             self._lock_segment()
 
     def _accepts(self, point: DataPoint) -> bool:
-        epsilon = self._epsilon_array()
-        for i in range(point.dimensions):
-            value = point.component(i)
-            if value > self._upper[i].value_at(point.time) + epsilon[i]:
+        time = point.time
+        for upper, lower, value, eps in zip(
+            self._upper, self._lower, point.value.tolist(), self._epsilon_list()
+        ):
+            if value > upper.value_at(time) + eps:
                 return False
-            if value < self._lower[i].value_at(point.time) - epsilon[i]:
+            if value < lower.value_at(time) - eps:
                 return False
         return True
 
@@ -652,41 +757,42 @@ class SlideFilter(StreamFilter):
         Returns whether any bounding line actually moved (used by the batch
         path to decide when a dense stretch of update events has ended).
         """
-        epsilon = self._epsilon_array()
+        epsilon = self._epsilon_list()
+        time = point.time
         changed = False
         if self.use_convex_hull and self._upper_hints is None:
             # Restored snapshots predate the hint lists; rebuild them cold.
             self._upper_hints = [0] * point.dimensions
             self._lower_hints = [0] * point.dimensions
-        for i in range(point.dimensions):
-            value = point.component(i)
+        for i, value in enumerate(point.value.tolist()):
+            eps = epsilon[i]
             if self.use_convex_hull:
                 hull = self._hulls[i]
-                hull.add(point.time, value)
-                if value > self._lower[i].value_at(point.time) + epsilon[i]:
+                hull.add(time, value)
+                if value > self._lower[i].value_at(time) + eps:
                     chain_t, chain_x = hull.lower_chain()
                     self._lower[i], self._lower_hints[i] = max_slope_lower_tangent_search(
-                        chain_t, chain_x, point.time, value, epsilon[i],
+                        chain_t, chain_x, time, value, eps,
                         current=self._lower[i], hint=self._lower_hints[i],
                     )
                     changed = True
-                if value < self._upper[i].value_at(point.time) - epsilon[i]:
+                if value < self._upper[i].value_at(time) - eps:
                     chain_t, chain_x = hull.upper_chain()
                     self._upper[i], self._upper_hints[i] = min_slope_upper_tangent_search(
-                        chain_t, chain_x, point.time, value, epsilon[i],
+                        chain_t, chain_x, time, value, eps,
                         current=self._upper[i], hint=self._upper_hints[i],
                     )
                     changed = True
                 continue
             support = self._support_points(i)
-            if value > self._lower[i].value_at(point.time) + epsilon[i]:
+            if value > self._lower[i].value_at(time) + eps:
                 self._lower[i] = max_slope_lower_line(
-                    support, point.time, value, epsilon[i], current=self._lower[i]
+                    support, time, value, eps, current=self._lower[i]
                 )
                 changed = True
-            if value < self._upper[i].value_at(point.time) - epsilon[i]:
+            if value < self._upper[i].value_at(time) - eps:
                 self._upper[i] = min_slope_upper_line(
-                    support, point.time, value, epsilon[i], current=self._upper[i]
+                    support, time, value, eps, current=self._upper[i]
                 )
                 changed = True
         if changed:
@@ -704,13 +810,6 @@ class SlideFilter(StreamFilter):
             )
         return self._bound_cache
 
-    def _raw_value_matrix(self) -> np.ndarray:
-        """Buffered interval values as an ``(n, d)`` array."""
-        values = np.asarray(self._raw_values)
-        if values.ndim == 1:
-            return values.reshape(-1, 1)
-        return values
-
     def _support_points(self, dimension: int) -> Sequence[Tuple[float, float]]:
         if self.use_convex_hull:
             return self._hulls[dimension].vertices()
@@ -724,25 +823,29 @@ class SlideFilter(StreamFilter):
     # ------------------------------------------------------------------ #
     # Recording mechanism
     # ------------------------------------------------------------------ #
-    def _finalize_interval(self, connect: bool) -> Tuple[List[Line], bool]:
+    def _finalize_interval(self, first_time: float, end_time: float) -> List[Line]:
         """Close the current interval: decide ``gᵏ`` and emit its start.
 
-        Returns the per-dimension segment lines and whether the segment was
-        connected to the previous one.
+        ``first_time`` and ``end_time`` are the times of the interval's first
+        and last points; the bounds, moments and buffered points are read
+        from the filter state.  Every path that closes an interval — the
+        per-point reference, the batch probes, the 1-D scalar core, the end
+        of the stream and the bounded-lag lock — comes through here, on
+        Python floats throughout.  Returns the per-dimension segment lines.
         """
-        apexes = self._apex_points()
-        connected = False
+        apexes = self._apex_points(first_time)
         lines: Optional[List[Line]] = None
-        if connect and self._prev is not None:
-            lines = self._attempt_connection(apexes)
-            connected = lines is not None
+        if self.connect_segments and self._prev is not None:
+            lines = self._attempt_connection(apexes, first_time)
         if lines is None:
             lines = self._standalone_segment(apexes)
             self._flush_previous_segment()
-            start_time = self._first_point.time
-            start_value = np.array([line.value_at(start_time) for line in lines])
-            self._emit(start_time, start_value, RecordingKind.SEGMENT_START)
-            segment_start = start_time
+            self._emit(
+                first_time,
+                [line.value_at(first_time) for line in lines],
+                RecordingKind.SEGMENT_START,
+            )
+            segment_start = first_time
         else:
             # _attempt_connection already emitted the shared recording.
             segment_start = self._connection_time
@@ -751,27 +854,26 @@ class SlideFilter(StreamFilter):
             upper=list(self._upper),
             lower=list(self._lower),
             start_time=segment_start,
-            end_time=self._last_point.time,
+            end_time=end_time,
             min_connection_time=max(segment_start, self._previous_interval_end),
+            # The next interval begins with fresh buffers, so these lists are
+            # the previous interval's for good.
             points=(
-                (np.asarray(self._raw_times), self._raw_value_matrix())
-                if self._raw_times is not None
-                else None
+                (self._raw_times, self._raw_values) if self._raw_times is not None else None
             ),
         )
-        self._previous_interval_end = self._last_point.time
-        return lines, connected
+        self._previous_interval_end = end_time
+        return lines
 
-    def _apex_points(self) -> List[Tuple[float, float]]:
+    def _apex_points(self, first_time: float) -> List[Tuple[float, float]]:
         """Per-dimension intersection ``zᵢ`` of the final bounds."""
         apexes = []
-        for i in range(self._dimensions):
-            point = self._upper[i].intersection_point(self._lower[i])
+        for upper, lower in zip(self._upper, self._lower):
+            point = upper.intersection_point(lower)
             if point is None:
                 # Degenerate (ε = 0): the bounds coincide; anchor at the
                 # interval's first point, which lies on both lines.
-                t = self._first_point.time
-                point = (t, self._upper[i].value_at(t))
+                point = (first_time, upper.value_at(first_time))
             apexes.append(point)
         return apexes
 
@@ -793,17 +895,19 @@ class SlideFilter(StreamFilter):
         if denominator <= 0.0:
             return (low + high) / 2.0
         numerator = (
-            float(self._sum_xt[dimension])
+            self._sum_xt[dimension]
             - pivot_value * self._sum_t
-            - pivot_time * float(self._sum_x[dimension])
+            - pivot_time * self._sum_x[dimension]
             + self._n * pivot_value * pivot_time
         )
-        return float(np.clip(numerator / denominator, low, high))
+        return _clip(numerator / denominator, low, high)
 
     # ------------------------------------------------------------------ #
     # Connection
     # ------------------------------------------------------------------ #
-    def _attempt_connection(self, apexes: List[Tuple[float, float]]) -> Optional[List[Line]]:
+    def _attempt_connection(
+        self, apexes: List[Tuple[float, float]], first_time: float
+    ) -> Optional[List[Line]]:
         """Try to join ``gᵏ`` to ``gᵏ⁻¹``; emit the shared recording on success.
 
         Two joining opportunities are considered:
@@ -815,16 +919,18 @@ class SlideFilter(StreamFilter):
         2. a *tail* connection inside interval k-1 following Lemma 4.4, where
            ``gᵏ`` absorbs the tail of the previous interval.
         """
-        lines = self._attempt_gap_connection(apexes)
+        lines = self._attempt_gap_connection(apexes, first_time)
         if lines is not None:
             return lines
         return self._attempt_tail_connection(apexes)
 
-    def _attempt_gap_connection(self, apexes: List[Tuple[float, float]]) -> Optional[List[Line]]:
+    def _attempt_gap_connection(
+        self, apexes: List[Tuple[float, float]], first_time: float
+    ) -> Optional[List[Line]]:
         """Join the segments between the two intervals when geometry allows it."""
         prev = self._prev
         window_low = max(prev.end_time, prev.min_connection_time)
-        window_high = self._first_point.time
+        window_high = first_time
         if window_high < window_low:
             return None
         feasible = [(window_low, window_high)]
@@ -836,7 +942,7 @@ class SlideFilter(StreamFilter):
                 return None
             preferred_times.append(self._preferred_connection_time(i, apexes[i], prev.lines[i]))
         preferences = [t for t in preferred_times if t is not None]
-        target = float(np.mean(preferences)) if preferences else (window_low + window_high) / 2.0
+        target = _mean(preferences) if preferences else (window_low + window_high) / 2.0
         connection_time = _closest_in_intervals(target, feasible)
         lines = []
         for i in range(self._dimensions):
@@ -848,12 +954,15 @@ class SlideFilter(StreamFilter):
                 # segment already passes through it, so reuse its slope
                 # clamped into the admissible range.
                 low, high = sorted((self._upper[i].slope, self._lower[i].slope))
-                joined = Line.from_point_slope(t_z, x_z, float(np.clip(g_prev.slope, low, high)))
+                joined = Line.from_point_slope(t_z, x_z, _clip(g_prev.slope, low, high))
             lines.append(joined)
         if not self._interval_is_safe(lines):
             return None
-        value = np.array([prev.lines[i].value_at(connection_time) for i in range(self._dimensions)])
-        self._emit(connection_time, value, RecordingKind.SEGMENT_END)
+        self._emit(
+            connection_time,
+            [line.value_at(connection_time) for line in prev.lines],
+            RecordingKind.SEGMENT_END,
+        )
         self._connection_time = connection_time
         return lines
 
@@ -924,11 +1033,11 @@ class SlideFilter(StreamFilter):
             alpha, beta = max(alpha, lo), min(beta, hi)
         alpha = max(alpha, prev.min_connection_time)
         beta = min(beta, prev.end_time)
-        if not np.isfinite(alpha) or not np.isfinite(beta) or alpha > beta:
+        if not math.isfinite(alpha) or not math.isfinite(beta) or alpha > beta:
             return None
         if beta <= prev.start_time:
             return None
-        alpha = max(alpha, np.nextafter(prev.start_time, np.inf))
+        alpha = max(alpha, math.nextafter(prev.start_time, math.inf))
         if alpha > beta:
             return None
 
@@ -953,7 +1062,7 @@ class SlideFilter(StreamFilter):
                 crossing = (alpha + beta) / 2.0
             preferred_times.append(crossing)
 
-        connection_time = float(np.clip(np.mean(preferred_times), alpha, beta))
+        connection_time = _clip(_mean(preferred_times), alpha, beta)
         lines = []
         for i in range(self._dimensions):
             t_z, x_z = apexes[i]
@@ -966,8 +1075,11 @@ class SlideFilter(StreamFilter):
         if not self._connection_is_safe(lines, connection_time, prev):
             return None
 
-        value = np.array([prev.lines[i].value_at(connection_time) for i in range(self._dimensions)])
-        self._emit(connection_time, value, RecordingKind.SEGMENT_END)
+        self._emit(
+            connection_time,
+            [line.value_at(connection_time) for line in prev.lines],
+            RecordingKind.SEGMENT_END,
+        )
         self._connection_time = connection_time
         return lines
 
@@ -1030,26 +1142,15 @@ class SlideFilter(StreamFilter):
 
         Only active when ``validate_connections`` is set.  The joined segment
         ``gᵏ`` takes over the tail of interval k-1 (points later than the
-        connection time) and all of interval k, so both sets are re-checked —
-        in one vectorized kernel sweep instead of a per-point loop.
+        connection time) and all of interval k, so both sets are re-checked.
         """
         if not self.validate_connections or prev.points is None or self._raw_times is None:
             return True
-        epsilon = self._epsilon_array()
         prev_times, prev_values = prev.points
-        tail = prev_times > connection_time
-        times = np.concatenate([prev_times[tail], np.asarray(self._raw_times)])
-        if times.size == 0:
-            return True
-        values = np.concatenate(
-            [prev_values[tail], self._raw_value_matrix()], axis=0
+        tail = bisect_right(prev_times, connection_time)
+        return self._points_within(
+            prev_times[tail:] + self._raw_times, prev_values[tail:] + self._raw_values, lines
         )
-        slopes = np.array([line.slope for line in lines])
-        intercepts = np.array([line.intercept for line in lines])
-        within = kernels.within_epsilon_mask(
-            times, values, slopes, intercepts, epsilon, _VALIDATION_SLACK
-        )
-        return bool(within.all())
 
     def _interval_is_safe(self, lines: List[Line]) -> bool:
         """Verify a gap-joined segment against the current interval's points.
@@ -1060,13 +1161,22 @@ class SlideFilter(StreamFilter):
         """
         if not self.validate_connections or self._raw_times is None:
             return True
-        slopes = np.array([line.slope for line in lines])
-        intercepts = np.array([line.intercept for line in lines])
+        return self._points_within(self._raw_times, self._raw_values, lines)
+
+    def _points_within(self, times: List[float], values: list, lines: List[Line]) -> bool:
+        """Whether every buffered point lies within ε of ``lines`` (with slack).
+
+        One vectorized kernel sweep instead of a per-point loop; the buffers
+        become arrays only here, for the few closes that get this far.
+        """
+        matrix = np.asarray(values, dtype=float)
+        if matrix.ndim == 1:
+            matrix = matrix.reshape(-1, 1)
         within = kernels.within_epsilon_mask(
-            np.asarray(self._raw_times),
-            self._raw_value_matrix(),
-            slopes,
-            intercepts,
+            np.asarray(times, dtype=float),
+            matrix,
+            np.array([line.slope for line in lines]),
+            np.array([line.intercept for line in lines]),
             self._epsilon_array(),
             _VALIDATION_SLACK,
         )
@@ -1077,8 +1187,11 @@ class SlideFilter(StreamFilter):
         if self._prev is None:
             return
         end_time = self._prev.end_time
-        value = np.array([line.value_at(end_time) for line in self._prev.lines])
-        self._emit(end_time, value, RecordingKind.SEGMENT_END)
+        self._emit(
+            end_time,
+            [line.value_at(end_time) for line in self._prev.lines],
+            RecordingKind.SEGMENT_END,
+        )
         self._prev = None
 
     # ------------------------------------------------------------------ #
@@ -1086,14 +1199,17 @@ class SlideFilter(StreamFilter):
     # ------------------------------------------------------------------ #
     def _lock_segment(self) -> None:
         """Commit to the MSE-optimal candidate segment (paper §4.3 / §3.3)."""
-        lines, _ = self._finalize_interval(connect=self.connect_segments)
+        lines = self._finalize_interval(self._first_point.time, self._last_point.time)
         self._locked_lines = lines
         self._locked_last_time = self._last_point.time
         self._locked_emitted_time = self._last_point.time
         # Update the receiver immediately: it now knows the committed segment
         # up to the lock point and can extrapolate it.
-        value = np.array([line.value_at(self._last_point.time) for line in lines])
-        self._emit(self._last_point.time, value, RecordingKind.SEGMENT_END)
+        self._emit(
+            self._last_point.time,
+            [line.value_at(self._last_point.time) for line in lines],
+            RecordingKind.SEGMENT_END,
+        )
         self._locked_points_since_emit = 0
         # The locked segment can no longer be moved, so the next interval must
         # not try to connect to it at an earlier time than its eventual end.
@@ -1104,17 +1220,21 @@ class SlideFilter(StreamFilter):
         self._bound_cache = None
 
     def _feed_locked(self, point: DataPoint) -> None:
-        epsilon = self._epsilon_array()
         within = all(
-            abs(self._locked_lines[i].value_at(point.time) - point.component(i)) <= epsilon[i]
-            for i in range(point.dimensions)
+            abs(line.value_at(point.time) - value) <= eps
+            for line, value, eps in zip(
+                self._locked_lines, point.value.tolist(), self._epsilon_list()
+            )
         )
         if within:
             self._locked_last_time = point.time
             self._locked_points_since_emit += 1
             if self.max_lag is not None and self._locked_points_since_emit >= self.max_lag:
-                value = np.array([line.value_at(point.time) for line in self._locked_lines])
-                self._emit(point.time, value, RecordingKind.SEGMENT_END)
+                self._emit(
+                    point.time,
+                    [line.value_at(point.time) for line in self._locked_lines],
+                    RecordingKind.SEGMENT_END,
+                )
                 self._locked_emitted_time = point.time
                 self._locked_points_since_emit = 0
             return
@@ -1124,8 +1244,11 @@ class SlideFilter(StreamFilter):
     def _close_locked_segment(self) -> None:
         end_time = self._locked_last_time
         if end_time > self._locked_emitted_time:
-            value = np.array([line.value_at(end_time) for line in self._locked_lines])
-            self._emit(end_time, value, RecordingKind.SEGMENT_END)
+            self._emit(
+                end_time,
+                [line.value_at(end_time) for line in self._locked_lines],
+                RecordingKind.SEGMENT_END,
+            )
         self._locked_lines = None
         self._locked_last_time = None
         self._previous_interval_end = end_time

@@ -13,6 +13,8 @@ from typing import Iterator, Tuple
 
 import numpy as np
 
+from repro.core.base import check_finite
+
 __all__ = ["DEFAULT_CHUNK_SIZE", "iter_chunks", "normalize_chunk"]
 
 #: Default number of points per chunk.  Large enough to amortize the
@@ -25,7 +27,8 @@ def normalize_chunk(times, values) -> Tuple[np.ndarray, np.ndarray]:
     """Coerce one chunk into ``(times (n,), values (n, d))`` float64 arrays.
 
     Raises:
-        ValueError: If the shapes are inconsistent.
+        ValueError: If the shapes are inconsistent or a time or value is NaN
+            or infinite (:func:`repro.core.base.check_finite`).
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
@@ -39,6 +42,7 @@ def normalize_chunk(times, values) -> Tuple[np.ndarray, np.ndarray]:
         raise ValueError(
             f"chunk times and values disagree on length: {times.shape[0]} vs {values.shape[0]}"
         )
+    check_finite(times, values)
     return times, values
 
 

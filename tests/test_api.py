@@ -314,6 +314,32 @@ class TestLiveStreams:
             reference = db.store.read("s")
         assert recordings_equal(queried, reference)
 
+    @pytest.mark.parametrize(
+        "spec", [FilterSpec("slide", epsilon=0.25), FilterSpec("swing", epsilon_percent=2.0)]
+    )
+    def test_rejected_non_finite_chunk_leaves_no_trace(self, tmp_path, spec):
+        """A NaN chunk raises; the stream's recordings are those of the valid
+        chunks alone (even when it arrives first and ε is a percentage of
+        the first chunk's range)."""
+        times, values = make_signal()
+        bad = values[:10].copy()
+        bad[3] = np.nan
+        with repro.open(tmp_path / "a", filter=spec) as db:
+            for lo in (0, 700):
+                with pytest.raises(ValueError, match="index 3"):
+                    db.append("s", times[lo : lo + 10], bad)
+                db.append("s", times[lo : lo + 700], values[lo : lo + 700])
+            db.append("s", times[1400:], values[1400:])
+            db.seal("s")
+            rejected = db.store.read("s")
+        with repro.open(tmp_path / "b", filter=spec) as db:
+            for lo in (0, 700, 1400):
+                db.append("s", times[lo : lo + 700], values[lo : lo + 700])
+            db.seal("s")
+            reference = db.store.read("s")
+        assert recordings_equal(rejected, reference)
+        assert np.isfinite([r.value for r in rejected]).all()
+
     def test_append_archives_in_batches(self, tmp_path):
         times, values = make_signal()
         with repro.open(tmp_path / "db", archive_batch=8, **SLIDE) as db:

@@ -10,6 +10,7 @@ from repro.core.errors import (
     FilterStateError,
     StreamOrderError,
 )
+from repro.core.registry import FILTER_REGISTRY, create_filter
 from repro.core.swing import SwingFilter
 from repro.core.types import DataPoint, RecordingKind
 
@@ -113,3 +114,85 @@ class TestLifecycle:
         recordings = stream_filter.recordings
         assert isinstance(recordings, tuple)
         assert len(recordings) == 1
+
+
+def _walk(dimensions, length=90, seed=5):
+    rng = np.random.default_rng(seed)
+    times = np.cumsum(rng.uniform(0.5, 1.5, length))
+    values = np.cumsum(rng.normal(0.0, 0.6, (length, dimensions)), axis=0)
+    return times, values if dimensions > 1 else values[:, 0]
+
+
+def _recording_tuples(stream_filter):
+    return [
+        (record.time, tuple(float(v) for v in record.value), record.kind)
+        for record in stream_filter.recordings
+    ]
+
+
+class TestNonFiniteInput:
+    """NaN and ±inf times or values are rejected before any state changes.
+
+    The bad chunk (or point) sits between two valid parts of a stream; the
+    filter must raise a ``ValueError`` naming the offending index and then
+    carry on exactly as if the bad input had never been sent.
+    """
+
+    BAD = [float("nan"), float("inf"), float("-inf")]
+
+    @staticmethod
+    def _corrupt(times, values, index, field, bad):
+        times, values = times.copy(), values.copy()
+        if field == "time":
+            times[index] = bad
+        elif values.ndim == 1:
+            values[index] = bad
+        else:
+            values[index, 1] = bad
+        return times, values
+
+    @pytest.mark.parametrize("name", sorted(FILTER_REGISTRY))
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("field", ["time", "value"])
+    @pytest.mark.parametrize("dimensions", [1, 3])
+    def test_process_batch_rejects_then_continues(self, name, bad, field, dimensions):
+        times, values = _walk(dimensions)
+        reference = create_filter(name, 0.5)
+        reference.process_batch(times, values)
+        reference.finish()
+        for split in (0, 40):
+            stream_filter = create_filter(name, 0.5)
+            if split:
+                stream_filter.process_batch(times[:split], values[:split])
+            bad_times, bad_values = self._corrupt(
+                times[split : split + 20], values[split : split + 20], 7, field, bad
+            )
+            with pytest.raises(ValueError, match="index 7"):
+                stream_filter.process_batch(bad_times, bad_values)
+            assert stream_filter.points_processed == split
+            stream_filter.process_batch(times[split:], values[split:])
+            stream_filter.finish()
+            assert _recording_tuples(stream_filter) == _recording_tuples(reference)
+
+    @pytest.mark.parametrize("name", sorted(FILTER_REGISTRY))
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("field", ["time", "value"])
+    @pytest.mark.parametrize("dimensions", [1, 3])
+    def test_feed_rejects_then_continues(self, name, bad, field, dimensions):
+        times, values = _walk(dimensions, length=60)
+        reference = create_filter(name, 0.5)
+        for t, v in zip(times, values):
+            reference.feed(t, v)
+        reference.finish()
+        stream_filter = create_filter(name, 0.5)
+        bad_times, bad_values = self._corrupt(times, values, 0, field, bad)
+        for index, (t, v) in enumerate(zip(times, values)):
+            if index in (0, 30):
+                # The same corrupted point, first before any state exists,
+                # then mid-stream.
+                with pytest.raises(ValueError, match="must be finite"):
+                    stream_filter.feed(bad_times[0], bad_values[0])
+            stream_filter.feed(t, v)
+        stream_filter.finish()
+        assert stream_filter.points_processed == len(times)
+        assert _recording_tuples(stream_filter) == _recording_tuples(reference)

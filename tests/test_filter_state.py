@@ -207,3 +207,49 @@ class TestSnapshotSemantics:
         restored = restore_filter(donor.snapshot())
         assert restored.finished
         assert restored.finish() == []
+
+
+def to_array_layout(state: FilterState) -> FilterState:
+    """Rewrite a slide snapshot into the layout earlier releases pickled.
+
+    Those releases kept the moment sums as numpy arrays and the previous
+    interval's buffered points as a ``(times (n,), values (n, d))`` array
+    pair (the same ``state_version``), so checkpoints on disk look like this.
+    """
+    payload = state.payload
+    payload["_sum_x"] = np.array(payload["_sum_x"])
+    payload["_sum_xt"] = np.array(payload["_sum_xt"])
+    prev = payload["_prev"]
+    times, values = prev.points
+    prev.points = (
+        np.asarray(times, dtype=float),
+        np.asarray(values, dtype=float).reshape(len(times), -1),
+    )
+    return state
+
+
+class TestArrayLayoutSnapshots:
+    """Snapshots in the array layout restore and resume bit-identically."""
+
+    @pytest.mark.parametrize("dimensions", [1, 3])
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_mid_interval_array_snapshot_resumes(self, dimensions, batch):
+        times, values = make_stream(seed=83, dimensions=dimensions)
+        reference = run_uninterrupted("slide", 0.5, times, values)
+        split = 611
+        first = SlideFilter(0.5)
+        first.process_batch(times[:split], values[:split])
+        state = first.snapshot()
+        assert state.payload["_upper"] is not None  # bounds open: mid-interval
+        assert state.payload["_prev"].points is not None
+        state = pickle.loads(pickle.dumps(to_array_layout(state)))
+        assert isinstance(state.payload["_sum_x"], np.ndarray)
+        assert state.payload["_prev"].points[1].shape[1] == dimensions
+        second = restore_filter(state)
+        if batch:
+            second.process_batch(times[split:], values[split:])
+        else:
+            for t, v in zip(times[split:], values[split:]):
+                second.feed(t, v)
+        second.finish()
+        assert recording_tuples(first) + recording_tuples(second) == reference

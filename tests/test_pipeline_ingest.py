@@ -59,6 +59,13 @@ class TestChunking:
         with pytest.raises(ValueError):
             normalize_chunk([0.0, 1.0], [5.0])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_normalize_chunk_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="index 2"):
+            normalize_chunk([0.0, 1.0, bad, 3.0], [5.0, 6.0, 7.0, 8.0])
+        with pytest.raises(ValueError, match="index 1"):
+            normalize_chunk([0.0, 1.0, 2.0], [[5.0, 1.0], [6.0, bad], [7.0, 1.0]])
+
 
 # --------------------------------------------------------------------------- #
 # Sinks

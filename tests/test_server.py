@@ -425,6 +425,25 @@ class TestServerErrors:
                 assert unknown_op.value.code == "bad_request"
                 client.ping()  # connection survived every error
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_chunk_is_a_bad_request(self, tmp_path, bad):
+        """The chunk is refused before it is acknowledged; the stream goes on."""
+        times, values = make_workload(seed=23, length=2000)
+        corrupt = values[:200].copy()
+        corrupt[17] = bad
+        with ServerHarness(tmp_path / "store") as harness:
+            with harness.connect() as client:
+                with pytest.raises(ServerError) as rejected:
+                    client.ingest("sensor", times[:200], corrupt)
+                assert rejected.value.code == "bad_request"
+                assert "index 17" in str(rejected.value)
+                assert client.ingest("sensor", times, values) == times.size
+                assert client.sync("sensor") == times.size
+                client.seal("sensor")
+                served = client.read("sensor")
+        expected = reference_recordings(tmp_path / "ref", times, values)
+        assert_recordings_identical(served, expected)
+
     @pytest.mark.faults
     def test_sink_failure_mid_serve_is_structured(self, tmp_path):
         """An injected storage fault fails the stream, not the server."""

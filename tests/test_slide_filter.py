@@ -4,13 +4,63 @@ import numpy as np
 import pytest
 
 from repro.approximation.reconstruct import reconstruct, segments_from_recordings
-from repro.core.slide import SlideFilter, _closest_in_intervals, _intersect_interval_sets
+from repro.core.slide import (
+    SlideFilter,
+    _clip,
+    _closest_in_intervals,
+    _intersect_interval_sets,
+    _mean,
+)
 from repro.core.swing import SwingFilter
 from repro.core.types import RecordingKind
 from repro.data.patterns import ramp_signal, sawtooth_signal, sine_signal
 from repro.data.random_walk import RandomWalkConfig, random_walk
 
 from conftest import assert_within_bound
+
+
+def _same_float(a, b):
+    """Bitwise float equality (NaN equals NaN, and 0.0 differs from -0.0)."""
+    return np.float64(a).tobytes() == np.float64(b).tobytes() or (
+        np.isnan(a) and np.isnan(b)
+    )
+
+
+class TestFloatHelpers:
+    """The lifecycle's float stand-ins for ``np.clip`` and ``np.mean``."""
+
+    GRID = [0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -2.0, 3.0]
+
+    def test_clip_matches_numpy_on_special_values(self):
+        bounds = [value for value in self.GRID if not np.isnan(value)]
+        for value in self.GRID:
+            for low in bounds:
+                for high in bounds:
+                    expected = float(np.clip(value, low, high))
+                    assert _same_float(_clip(value, low, high), expected), (value, low, high)
+
+    @pytest.mark.parametrize("length", range(1, 21))
+    def test_mean_matches_numpy(self, length):
+        rng = np.random.default_rng(length)
+        for _ in range(500):
+            values = (
+                rng.normal(0.0, 1.0, length) * 10.0 ** rng.integers(-3, 4, length)
+            ).tolist()
+            assert _same_float(_mean(values), float(np.mean(values)))
+        assert _same_float(_mean([-0.0] * length), float(np.mean([-0.0] * length)))
+
+    def test_left_fold_stops_matching_numpy_at_eight(self):
+        """Why ``_mean`` keeps ``np.mean`` from 8 elements on: pairwise sums."""
+
+        def left_fold_mean(values):
+            total = 0.0
+            for value in values:
+                total += value
+            return total / len(values)
+
+        rng = np.random.default_rng(8)
+        lists = [rng.normal(0.0, 1.0, 8).tolist() for _ in range(200)]
+        assert any(left_fold_mean(v) != float(np.mean(v)) for v in lists)
 
 
 class TestIntervalHelpers:
