@@ -826,11 +826,13 @@ class StreamDB:
         identically.
 
         Raises:
-            ValueError: If ``step`` is given without ``window``.
+            ValueError: If ``step`` is given without ``window``, or
+                ``dimension`` is not one of the stream's dimensions.
         """
         self._check_open()
         if step is not None and window is None:
             raise ValueError("step requires window")
+        self._check_dimension(stream, dimension)
         if stream in self._store:
             tail = self._query_tail(stream)
             if window is not None:
@@ -871,8 +873,15 @@ class StreamDB:
         more than the two blocks the viewport cuts.  Live-only streams (and
         stores without summaries) fall back to uniform bins over the decoded
         approximation.
+
+        Raises:
+            ValueError: If ``max_points < 4``, or ``dimension`` is not one
+                of the stream's dimensions.
         """
         self._check_open()
+        if max_points < 4:
+            raise ValueError(f"max_points must be at least 4, got {max_points}")
+        self._check_dimension(stream, dimension)
         if stream in self._store:
             return plan_zoom(
                 self._store, stream, start, end,
@@ -893,7 +902,13 @@ class StreamDB:
         *,
         dimension: int = 0,
     ) -> List[float]:
-        """Times at which the stream's approximation crosses ``threshold``."""
+        """Times at which the stream's approximation crosses ``threshold``.
+
+        Raises:
+            ValueError: If ``dimension`` is not one of the stream's dimensions.
+        """
+        self._check_open()
+        self._check_dimension(stream, dimension)
         approximation = reconstruct(self._read_for_query(stream, start, end))
         return threshold_crossings(
             approximation, threshold, start=start, end=end, dimension=dimension
@@ -916,6 +931,26 @@ class StreamDB:
         recordings = self._read_for_query(stream, start, end)
         lo, hi = self._bounds(recordings, start, end)
         return _resample(reconstruct(recordings), lo, hi, step)
+
+    def _check_dimension(self, stream: str, dimension: int) -> None:
+        """Reject a ``dimension`` the stream does not have.
+
+        Checked once here, before the query paths split, so stored, live
+        and fallback answers refuse the same arguments.  A stream that is
+        unknown or has seen no point yet is left to the query to report.
+        """
+        live = self._live.get(stream)
+        if live is not None and live.filter.dimensions is not None:
+            dimensions = live.filter.dimensions
+        elif stream in self._store:
+            dimensions = self._store.describe(stream).dimensions
+        else:
+            return
+        if not 0 <= dimension < dimensions:
+            raise ValueError(
+                f"dimension {dimension} is out of range for the "
+                f"{dimensions}-dimensional stream {stream!r}"
+            )
 
     def _query_tail(self, stream: str) -> List[Recording]:
         """The live recordings a query must merge after the stored log."""

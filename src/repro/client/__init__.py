@@ -22,6 +22,7 @@ from repro.client.client import (
     StreamClient,
     SyncTailSubscription,
 )
+from repro.server.protocol import CODEC_ARRAYS
 
 __all__ = [
     "connect",
@@ -34,11 +35,11 @@ __all__ = [
 ]
 
 
-def connect(host="127.0.0.1", port=7450, *, token=None, codec=None, timeout=None):
+def connect(host="127.0.0.1", port=7450, *, token=None, codec=CODEC_ARRAYS, timeout=None):
     """Open a blocking :class:`StreamClient` connection."""
     return StreamClient.connect(host, port, token=token, codec=codec, timeout=timeout)
 
 
-async def aconnect(host="127.0.0.1", port=7450, *, token=None, codec=None):
+async def aconnect(host="127.0.0.1", port=7450, *, token=None, codec=CODEC_ARRAYS):
     """Open an :class:`AsyncStreamClient` connection (await inside a loop)."""
     return await AsyncStreamClient.connect(host, port, token=token, codec=codec)

@@ -28,7 +28,7 @@ import socket
 import struct
 import time
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -38,15 +38,16 @@ from repro.queries.aggregates import RangeAggregate
 from repro.queries.pyramid import ZoomCell
 from repro.server.hub import TailEvent
 from repro.server.protocol import (
+    CODEC_ARRAYS,
     CODEC_JSON,
     MAX_FRAME,
     ProtocolError,
-    aggregate_from_wire,
+    aggregates_from_wire,
     decode_body,
     encode_frame,
     read_frame,
     recordings_from_wire,
-    zoom_cell_from_wire,
+    zoom_cells_from_wire,
 )
 
 __all__ = ["ServerError", "AsyncStreamClient", "StreamClient", "AsyncTailSubscription", "SyncTailSubscription"]
@@ -73,16 +74,25 @@ class ServerError(ReproError):
         )
 
 
-def _chunk_to_wire(times, values) -> Tuple[List[float], List]:
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    return times.tolist(), values.tolist()
-
-
 def _aggregate_result(result: Dict) -> Union[RangeAggregate, List[RangeAggregate]]:
     if "windows" in result:
-        return [aggregate_from_wire(raw) for raw in result["windows"]]
-    return aggregate_from_wire(result["aggregate"])
+        return aggregates_from_wire(result["windows"])
+    return aggregates_from_wire(result["aggregate"])[0]
+
+
+def _resample_result(result: Dict) -> Tuple[np.ndarray, np.ndarray]:
+    # Copies: decoded sections are read-only views of the frame, while a
+    # local session hands out arrays the caller may write to.
+    return np.array(result["times"], dtype=float), np.array(result["values"], dtype=float)
+
+
+def _tail_event(body: Dict) -> TailEvent:
+    return TailEvent(
+        stream=body["stream"],
+        seq=int(body["seq"]),
+        recordings=recordings_from_wire(body),
+        sealed=bool(body["sealed"]),
+    )
 
 
 # --------------------------------------------------------------------- #
@@ -108,14 +118,7 @@ class AsyncTailSubscription:
             self.end_reason = body.get("reason")
             self._events.put_nowait(None)
             return
-        self._events.put_nowait(
-            TailEvent(
-                stream=body["stream"],
-                seq=int(body["seq"]),
-                recordings=recordings_from_wire(body["recordings"]),
-                sealed=bool(body["sealed"]),
-            )
-        )
+        self._events.put_nowait(_tail_event(body))
 
     def __aiter__(self) -> "AsyncTailSubscription":
         return self
@@ -154,17 +157,24 @@ class AsyncStreamClient:
         port: int = 7450,
         *,
         token: Optional[str] = None,
-        codec: Optional[str] = None,
+        codec: Optional[str] = CODEC_ARRAYS,
     ) -> "AsyncStreamClient":
-        """Open a connection, negotiate the codec, authenticate."""
+        """Open a connection, negotiate the codec, authenticate.
+
+        ``codec`` defaults to binary array frames; pass ``"J"`` for JSON.
+        """
         reader, writer = await asyncio.open_connection(host, port)
         client = cls(reader, writer)
-        client.server_info = await client._request("hello", codec=codec)
-        negotiated = client.server_info.get("codec")
-        if negotiated:
-            client._codec = negotiated
-        if token is not None:
-            await client._request("auth", token=token)
+        try:
+            client.server_info = await client._request("hello", codec=codec)
+            negotiated = client.server_info.get("codec")
+            if negotiated:
+                client._codec = negotiated
+            if token is not None:
+                await client._request("auth", token=token)
+        except BaseException:
+            await client.close()  # a refused codec or token must not leak the socket
+            raise
         return client
 
     async def _read_loop(self) -> None:
@@ -226,11 +236,12 @@ class AsyncStreamClient:
         Returns the number of points the server accepted (queued for its
         ingest pipeline; :meth:`sync` barriers on them being processed).
         """
-        wire_times, wire_values = _chunk_to_wire(times, values)
+        times = np.asarray(times, dtype=float)
+        values = np.asarray(values, dtype=float)
         while True:
             try:
                 result = await self._request(
-                    "ingest", stream=stream, times=wire_times, values=wire_values
+                    "ingest", stream=stream, times=times, values=values
                 )
                 return int(result["accepted"])
             except ServerError as error:
@@ -256,7 +267,7 @@ class AsyncStreamClient:
         self, stream: str, start: Optional[float] = None, end: Optional[float] = None
     ) -> List[Recording]:
         result = await self._request("read", stream=stream, start=start, end=end)
-        return recordings_from_wire(result["recordings"])
+        return recordings_from_wire(result)
 
     async def aggregate(
         self,
@@ -284,10 +295,7 @@ class AsyncStreamClient:
         result = await self._request(
             "resample", stream=stream, step=step, start=start, end=end
         )
-        return (
-            np.asarray(result["times"], dtype=float),
-            np.asarray(result["values"], dtype=float),
-        )
+        return _resample_result(result)
 
     async def zoom(
         self,
@@ -302,7 +310,7 @@ class AsyncStreamClient:
             "zoom", stream=stream, start=start, end=end,
             max_points=max_points, dimension=dimension or None,
         )
-        return [zoom_cell_from_wire(raw) for raw in result["cells"]]
+        return zoom_cells_from_wire(result["cells"])
 
     async def crossings(
         self,
@@ -367,14 +375,7 @@ class SyncTailSubscription:
         if body.get("push") == "tail_end":
             self.end_reason = body.get("reason")
             return
-        self._events.append(
-            TailEvent(
-                stream=body["stream"],
-                seq=int(body["seq"]),
-                recordings=recordings_from_wire(body["recordings"]),
-                sealed=bool(body["sealed"]),
-            )
-        )
+        self._events.append(_tail_event(body))
 
     def __iter__(self) -> "SyncTailSubscription":
         return self
@@ -415,17 +416,21 @@ class StreamClient:
         port: int = 7450,
         *,
         token: Optional[str] = None,
-        codec: Optional[str] = None,
+        codec: Optional[str] = CODEC_ARRAYS,
         timeout: Optional[float] = None,
     ) -> "StreamClient":
         sock = socket.create_connection((host, port), timeout=timeout)
         client = cls(sock)
-        client.server_info = client._request("hello", codec=codec)
-        negotiated = client.server_info.get("codec")
-        if negotiated:
-            client._codec = negotiated
-        if token is not None:
-            client._request("auth", token=token)
+        try:
+            client.server_info = client._request("hello", codec=codec)
+            negotiated = client.server_info.get("codec")
+            if negotiated:
+                client._codec = negotiated
+            if token is not None:
+                client._request("auth", token=token)
+        except BaseException:
+            client.close()  # a refused codec or token must not leak the socket
+            raise
         return client
 
     # --------------------------- wire plumbing ------------------------- #
@@ -475,11 +480,12 @@ class StreamClient:
         self._request("ping")
 
     def ingest(self, stream: str, times, values, *, retry: bool = True) -> int:
-        wire_times, wire_values = _chunk_to_wire(times, values)
+        times = np.asarray(times, dtype=float)
+        values = np.asarray(values, dtype=float)
         while True:
             try:
                 result = self._request(
-                    "ingest", stream=stream, times=wire_times, values=wire_values
+                    "ingest", stream=stream, times=times, values=values
                 )
                 return int(result["accepted"])
             except ServerError as error:
@@ -503,7 +509,7 @@ class StreamClient:
         self, stream: str, start: Optional[float] = None, end: Optional[float] = None
     ) -> List[Recording]:
         result = self._request("read", stream=stream, start=start, end=end)
-        return recordings_from_wire(result["recordings"])
+        return recordings_from_wire(result)
 
     def aggregate(
         self,
@@ -531,10 +537,7 @@ class StreamClient:
         result = self._request(
             "resample", stream=stream, step=step, start=start, end=end
         )
-        return (
-            np.asarray(result["times"], dtype=float),
-            np.asarray(result["values"], dtype=float),
-        )
+        return _resample_result(result)
 
     def zoom(
         self,
@@ -549,7 +552,7 @@ class StreamClient:
             "zoom", stream=stream, start=start, end=end,
             max_points=max_points, dimension=dimension or None,
         )
-        return [zoom_cell_from_wire(raw) for raw in result["cells"]]
+        return zoom_cells_from_wire(result["cells"])
 
     def crossings(
         self,

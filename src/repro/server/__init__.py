@@ -33,11 +33,11 @@ The matching clients live in :mod:`repro.client`.
 from repro.server.auth import RateLimiter, TokenAuthorizer
 from repro.server.hub import DEFAULT_TAIL_QUEUE, BroadcastHub, Subscription, TailEvent
 from repro.server.protocol import (
+    CODEC_ARRAYS,
     CODEC_JSON,
-    CODEC_MSGPACK,
+    CODECS,
     MAX_FRAME,
     ProtocolError,
-    available_codecs,
 )
 from repro.server.service import DEFAULT_INGEST_QUEUE, StreamDBServer
 
@@ -49,9 +49,9 @@ __all__ = [
     "TokenAuthorizer",
     "RateLimiter",
     "ProtocolError",
-    "available_codecs",
+    "CODECS",
+    "CODEC_ARRAYS",
     "CODEC_JSON",
-    "CODEC_MSGPACK",
     "MAX_FRAME",
     "DEFAULT_INGEST_QUEUE",
     "DEFAULT_TAIL_QUEUE",

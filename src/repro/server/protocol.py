@@ -2,117 +2,227 @@
 
 Every message — request, response, or server push — travels as one frame::
 
-    +----------------+-------+-----------------------+
-    | length (4B BE) | codec | body (length-1 bytes) |
-    +----------------+-------+-----------------------+
+    +----------------+-------+---------------------------+
+    | length (4B BE) | codec | payload (length-1 bytes)  |
+    +----------------+-------+---------------------------+
 
-``length`` counts the codec byte plus the body.  ``codec`` is ``b"J"`` for
-JSON (always available) or ``b"M"`` for msgpack (used only when the optional
-``msgpack`` package is importable on both ends; the client asks via
-``hello``).  Bodies are flat dictionaries:
+``length`` counts the codec byte plus the payload; it may not exceed
+:data:`MAX_FRAME`.  Two codecs exist, and a connection speaks ``J`` until
+its ``hello`` asks for another one:
+
+* ``b"J"`` — the payload is one UTF-8 JSON object.  Every float64 array of
+  the body rides as a (nested) JSON number list.  Python's ``json`` writes
+  ``repr``-style shortest-round-trip literals, so every value survives
+  bit-identically (``NaN`` and ``±Infinity`` use Python's JSON extensions).
+* ``b"A"`` — binary array frames::
+
+      +-----------------------+-------------------+------------------------+
+      | header length (4B BE) | JSON envelope     | array sections         |
+      +-----------------------+-------------------+------------------------+
+
+  The envelope is the body with every float64 array replaced by the
+  placeholder ``{"$f8": shape}`` (``shape`` is ``[n]`` or ``[n, d]``).  The
+  sections hold the arrays' raw little-endian float64 bytes, in the
+  placeholders' document order, back to back up to the end of the frame.
+  The envelope is padded with trailing spaces so that the first section
+  starts 8-byte aligned.  The decoder checks the header length, every
+  placeholder and shape, every section bound and that no bytes trail; any
+  violation is a :class:`ProtocolError`.  Decoded arrays are zero-copy,
+  read-only ``memoryview`` objects of format ``d`` and the sent shape.
+
+One body schema serves both codecs: a body holds numpy arrays wherever the
+schema below says *array*, and :func:`encode_frame` lifts each one into a
+section (``A``) or a number list (``J``).  A decoded body holds a
+``memoryview`` (``A``) or a list (``J``) in that place; ``np.asarray`` reads
+either.  Bodies are dictionaries:
 
 * **Requests** carry ``id`` (client-chosen, echoed back) and ``op`` plus the
   op's parameters.
 * **Responses** echo ``id`` and carry ``ok``; failures add ``error`` with a
   machine-readable ``code`` (``throttle``, ``auth``, ``rate_limit``,
-  ``ingest_failed``, ``unknown_stream``, ``bad_request``, ``internal``) and
-  a human ``message``.
+  ``ingest_failed``, ``unknown_stream``, ``bad_request``, ``internal``), a
+  human ``message`` and, for the first two of those, ``retry_after``.
 * **Pushes** (tail subscriptions) have no ``id``; they carry ``push`` so a
   client multiplexing one socket can route them.
 
-Numbers ride as JSON floats: Python's ``json`` emits ``repr``-style
-shortest-round-trip literals, so every ``float64`` survives the wire
-bit-identically — the parity guarantees of the storage layer extend to the
-network without a binary encoding.
+Per op (request parameters → answer fields; ``?`` marks an optional one):
+
+* ``hello``: ``codec?`` → ``server``, ``version``, ``codecs``, ``codec``,
+  ``auth_required``.  It travels as ``J`` both ways; the codec it grants
+  applies from the next frame on.
+* ``auth``: ``token`` → ``streams``.  ``ping``, ``stats``, ``streams``: no
+  parameters.
+* ``ingest``: ``stream``, ``times`` array (n,), ``values`` array (n,) or
+  (n, d) → ``accepted``, ``queued``.
+* ``sync`` / ``seal``: ``stream`` → ``points`` / ``recordings``.
+* ``describe``: ``stream`` → the stream's catalog fields plus ``live``.
+* ``read``: ``stream``, ``start?``, ``end?`` → the recordings as three
+  columns (:func:`recordings_to_wire`): ``times`` array (n,), ``values``
+  array (n, d) and ``kinds``, a string of one kind code per recording.
+* ``aggregate``: ``stream``, ``start?``, ``end?``, ``window?``, ``step?``,
+  ``dimension?`` → ``aggregate`` array (6,), or with ``window`` ``windows``
+  array (n, 6); columns as :class:`~repro.queries.aggregates.RangeAggregate`
+  (:func:`aggregates_to_wire`).
+* ``resample``: ``stream``, ``step``, ``start?``, ``end?`` → ``times``
+  array (n,), ``values`` array (n, d).
+* ``zoom``: ``stream``, ``start?``, ``end?``, ``max_points?``,
+  ``dimension?`` → ``cells`` array (n, 8); columns as
+  :class:`~repro.queries.pyramid.ZoomCell` (:func:`zoom_cells_to_wire`).
+* ``crossings``: ``stream``, ``threshold``, ``start?``, ``end?``,
+  ``dimension?`` → ``times`` array (n,).
+* ``subscribe``: ``stream`` → ``subscription``; ``unsubscribe``:
+  ``subscription``.  Each ``tail`` push carries ``subscription``,
+  ``stream``, ``seq``, ``sealed`` and the new recordings as the three
+  ``read`` columns; the final ``tail_end`` push carries ``reason``.
 """
 
 from __future__ import annotations
 
 import asyncio
+import itertools
 import json
+import math
+import operator
 import struct
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.errors import ReproError
-from repro.core.types import Recording, RecordingKind
+from repro.core.types import Recording
 from repro.queries.aggregates import RangeAggregate
 from repro.queries.pyramid import ZoomCell
-
-try:  # optional accelerator; the protocol never requires it
-    import msgpack  # type: ignore
-except ImportError:  # pragma: no cover - exercised where msgpack is absent
-    msgpack = None
+from repro.storage.backends.base import KIND_BY_CODE, RECORD_KINDS
 
 __all__ = [
+    "CODEC_ARRAYS",
     "CODEC_JSON",
-    "CODEC_MSGPACK",
+    "CODECS",
     "MAX_FRAME",
     "ProtocolError",
-    "available_codecs",
     "encode_frame",
     "decode_body",
     "read_frame",
-    "recording_to_wire",
-    "recording_from_wire",
     "recordings_to_wire",
     "recordings_from_wire",
-    "aggregate_to_wire",
-    "aggregate_from_wire",
-    "zoom_cell_to_wire",
-    "zoom_cell_from_wire",
+    "aggregates_to_wire",
+    "aggregates_from_wire",
+    "zoom_cells_to_wire",
+    "zoom_cells_from_wire",
 ]
 
+CODEC_ARRAYS = "A"
 CODEC_JSON = "J"
-CODEC_MSGPACK = "M"
+#: Codecs this end speaks, preferred first.
+CODECS = (CODEC_ARRAYS, CODEC_JSON)
 
 #: Upper bound on a frame body; a length prefix beyond this is treated as a
 #: corrupt or hostile stream, not an allocation request.
 MAX_FRAME = 64 * 1024 * 1024
 
 _HEADER = struct.Struct(">I")
+_PLACEHOLDER = "$f8"
+_WIRE_FLOAT = np.dtype("<f8")
+_NATIVE_FLOAT = np.dtype("=f8")
+#: No dimension of an array section can exceed what fits in one frame.
+_MAX_ITEMS = MAX_FRAME // _WIRE_FLOAT.itemsize
 
 
 class ProtocolError(ReproError):
     """Raised on malformed frames: bad codec, oversized length, torn body."""
 
 
-def available_codecs() -> List[str]:
-    """Codecs this end can speak, preferred first."""
-    codecs = [CODEC_JSON]
-    if msgpack is not None:
-        codecs.insert(0, CODEC_MSGPACK)
-    return codecs
-
-
 def encode_frame(body: Dict, codec: str = CODEC_JSON) -> bytes:
-    """Serialize one message into a wire frame."""
+    """Serialize one message into a wire frame (numpy arrays as float64)."""
     if codec == CODEC_JSON:
-        payload = json.dumps(body, separators=(",", ":")).encode("utf-8")
-    elif codec == CODEC_MSGPACK:
-        if msgpack is None:
-            raise ProtocolError("msgpack codec requested but msgpack is not installed")
-        payload = msgpack.packb(body, use_bin_type=True)
+        listed = json.dumps(body, separators=(",", ":"), default=_wire_list)
+        parts = [listed.encode("utf-8")]
+    elif codec == CODEC_ARRAYS:
+        sections: List[np.ndarray] = []
+
+        def lift(node):
+            sections.append(_wire_array(node))
+            return {_PLACEHOLDER: list(sections[-1].shape)}
+
+        header = json.dumps(body, separators=(",", ":"), default=lift).encode("utf-8")
+        header += b" " * (-(_HEADER.size + len(header)) % _WIRE_FLOAT.itemsize)
+        parts = [_HEADER.pack(len(header)), header, *sections]
     else:
         raise ProtocolError(f"unknown codec {codec!r}")
-    if len(payload) + 1 > MAX_FRAME:
-        raise ProtocolError(f"frame of {len(payload)} bytes exceeds MAX_FRAME")
-    return _HEADER.pack(len(payload) + 1) + codec.encode("ascii") + payload
+    size = 1 + sum(part.nbytes if isinstance(part, np.ndarray) else len(part) for part in parts)
+    if size > MAX_FRAME:
+        raise ProtocolError(f"frame of {size} bytes exceeds MAX_FRAME")
+    return b"".join([_HEADER.pack(size), codec.encode("ascii"), *parts])
+
+
+def _wire_array(node) -> np.ndarray:
+    """A body's ndarray as the C-ordered little-endian float64 it travels as."""
+    if not isinstance(node, np.ndarray):
+        raise TypeError(f"{type(node).__name__} is not wire-serializable")
+    array = np.asarray(node, dtype=_WIRE_FLOAT, order="C")
+    if array.ndim not in (1, 2):
+        raise ProtocolError(f"arrays travel with 1 or 2 dimensions, not {array.ndim}")
+    return array
+
+
+def _wire_list(node) -> list:
+    return _wire_array(node).tolist()
 
 
 def decode_body(codec_byte: bytes, payload: bytes) -> Dict:
-    """Deserialize a frame body given its codec tag."""
-    if codec_byte == b"J":
-        body = json.loads(payload.decode("utf-8"))
-    elif codec_byte == b"M":
-        if msgpack is None:
-            raise ProtocolError("peer sent msgpack but msgpack is not installed")
-        body = msgpack.unpackb(payload, raw=False)
-    else:
-        raise ProtocolError(f"unknown codec byte {codec_byte!r}")
+    """Deserialize a frame body given its codec tag.
+
+    Raises:
+        ProtocolError: On an unknown codec, undecodable JSON, a body that is
+            not a dictionary, or a malformed array frame.
+    """
+    try:
+        if codec_byte == b"J":
+            body = json.loads(payload.decode("utf-8"))
+        elif codec_byte == b"A":
+            body = _decode_arrays(payload)
+        else:
+            raise ProtocolError(f"unknown codec byte {codec_byte!r}")
+    except (ValueError, RecursionError) as error:
+        raise ProtocolError(f"undecodable frame body: {error}") from None
     if not isinstance(body, dict):
         raise ProtocolError(f"frame body must be a dict, got {type(body).__name__}")
+    return body
+
+
+def _decode_arrays(payload: bytes):
+    if len(payload) < _HEADER.size:
+        raise ProtocolError("array frame shorter than its header length")
+    (header_size,) = _HEADER.unpack_from(payload)
+    offset = _HEADER.size + header_size
+    if offset > len(payload):
+        raise ProtocolError(f"array frame header of {header_size} bytes runs past the frame")
+
+    def section(node: Dict):
+        # json calls this for every object in the order the objects close;
+        # a placeholder holds no object, so sections come in document order.
+        nonlocal offset
+        if _PLACEHOLDER not in node:
+            return node
+        shape = node[_PLACEHOLDER]
+        if (
+            len(node) != 1
+            or not isinstance(shape, list)
+            or len(shape) not in (1, 2)
+            or not all(type(size) is int and 0 <= size <= _MAX_ITEMS for size in shape)
+        ):
+            raise ProtocolError("malformed array placeholder")
+        count = math.prod(shape)
+        end = offset + count * _WIRE_FLOAT.itemsize
+        if end > len(payload):
+            raise ProtocolError(f"array section of shape {shape} overruns the frame")
+        array = np.frombuffer(payload, _WIRE_FLOAT, count, offset)
+        offset = end
+        return memoryview(array.astype(_NATIVE_FLOAT, copy=False).reshape(shape))
+
+    body = json.loads(payload[_HEADER.size : offset].decode("utf-8"), object_hook=section)
+    if offset != len(payload):
+        raise ProtocolError(f"{len(payload) - offset} bytes trail the array sections")
     return body
 
 
@@ -141,67 +251,60 @@ async def read_frame(reader: "asyncio.StreamReader") -> Optional[Dict]:
 
 
 # --------------------------------------------------------------------- #
-# Value encodings (shared by server and client)
+# Answer columns (shared by server and client)
 # --------------------------------------------------------------------- #
-def recording_to_wire(recording: Recording) -> Dict:
-    """One recording as a wire dict (``t``/``v``/``k``)."""
-    value = np.atleast_1d(np.asarray(recording.value, dtype=float))
+_KIND_CODES = {kind: str(code) for kind, code in RECORD_KINDS.items()}
+_KINDS = {str(code): kind for code, kind in KIND_BY_CODE.items()}
+_AGGREGATE_FIELDS = ("start", "end", "minimum", "maximum", "mean", "integral")
+_ZOOM_FIELDS = _AGGREGATE_FIELDS + ("covered", "level")
+
+
+def recordings_to_wire(recordings: Sequence[Recording]) -> Dict:
+    """Recordings as ``times`` (n,), ``values`` (n, d) and ``kinds`` codes."""
+    if not recordings:
+        return {"times": np.empty(0), "values": np.empty((0, 0)), "kinds": ""}
+    count = len(recordings)
     return {
-        "t": float(recording.time),
-        "v": [float(component) for component in value],
-        "k": recording.kind.value,
+        "times": np.fromiter((r.time for r in recordings), float, count),
+        "values": np.concatenate([r.value for r in recordings]).reshape(count, -1),
+        "kinds": "".join([_KIND_CODES[r.kind] for r in recordings]),
     }
 
 
-def recording_from_wire(raw: Dict) -> Recording:
-    """Rebuild a recording from its wire dict."""
-    return Recording(
-        time=float(raw["t"]),
-        value=np.asarray(raw["v"], dtype=float),
-        kind=RecordingKind(raw["k"]),
-    )
+def recordings_from_wire(body: Dict) -> List[Recording]:
+    """Rebuild the recordings of a ``read`` answer or ``tail`` push."""
+    times = np.asarray(body["times"], dtype=float).tolist()
+    values = np.array(body["values"], dtype=float)  # one writable copy
+    kinds = [_KINDS[code] for code in body["kinds"]]
+    if not len(times) == len(values) == len(kinds):
+        raise ProtocolError("recording columns disagree on length")
+    return [Recording(*recording) for recording in zip(times, values, kinds)]
 
 
-def recordings_to_wire(recordings: Sequence[Recording]) -> List[Dict]:
-    return [recording_to_wire(recording) for recording in recordings]
+def _table(items: Sequence, fields: Sequence[str]) -> np.ndarray:
+    flat = itertools.chain.from_iterable(map(operator.attrgetter(*fields), items))
+    return np.fromiter(flat, float, len(items) * len(fields)).reshape(len(items), len(fields))
 
 
-def recordings_from_wire(raw: Sequence[Dict]) -> List[Recording]:
-    return [recording_from_wire(item) for item in raw]
+def _rows(raw, width: int) -> List[list]:
+    return np.asarray(raw, dtype=float).reshape(-1, width).tolist()
 
 
-def aggregate_to_wire(aggregate: RangeAggregate) -> Dict:
-    return {
-        "start": aggregate.start,
-        "end": aggregate.end,
-        "minimum": aggregate.minimum,
-        "maximum": aggregate.maximum,
-        "mean": aggregate.mean,
-        "integral": aggregate.integral,
-    }
+def aggregates_to_wire(aggregates: Sequence[RangeAggregate]) -> np.ndarray:
+    """Aggregates as an (n, 6) array in :class:`RangeAggregate` field order."""
+    return _table(aggregates, _AGGREGATE_FIELDS)
 
 
-def aggregate_from_wire(raw: Dict) -> RangeAggregate:
-    return RangeAggregate(**{key: float(raw[key]) for key in (
-        "start", "end", "minimum", "maximum", "mean", "integral"
-    )})
+def aggregates_from_wire(raw) -> List[RangeAggregate]:
+    """Rebuild aggregates from an (n, 6) array or one (6,) row."""
+    return [RangeAggregate(*row) for row in _rows(raw, len(_AGGREGATE_FIELDS))]
 
 
-def zoom_cell_to_wire(cell: ZoomCell) -> Dict:
-    wire = aggregate_to_wire(cell)  # same six leading fields
-    wire["covered"] = cell.covered
-    wire["level"] = cell.level
-    return wire
+def zoom_cells_to_wire(cells: Sequence[ZoomCell]) -> np.ndarray:
+    """Zoom cells as an (n, 8) array in :class:`ZoomCell` field order."""
+    return _table(cells, _ZOOM_FIELDS)
 
 
-def zoom_cell_from_wire(raw: Dict) -> ZoomCell:
-    return ZoomCell(
-        start=float(raw["start"]),
-        end=float(raw["end"]),
-        minimum=float(raw["minimum"]),
-        maximum=float(raw["maximum"]),
-        mean=float(raw["mean"]),
-        integral=float(raw["integral"]),
-        covered=float(raw["covered"]),
-        level=int(raw["level"]),
-    )
+def zoom_cells_from_wire(raw) -> List[ZoomCell]:
+    """Rebuild zoom cells from an (n, 8) array."""
+    return [ZoomCell(*row[:-1], int(row[-1])) for row in _rows(raw, len(_ZOOM_FIELDS))]

@@ -35,21 +35,25 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Optional, Set, Union
 
+import numpy as np
+
 from repro import __version__
 from repro.api.session import StreamDB
 from repro.core.errors import ReproError
+from repro.pipeline.chunking import normalize_chunk
+from repro.queries.pyramid import DEFAULT_MAX_POINTS
 from repro.runtime.async_source import QueueAsyncSource
 from repro.server.auth import RateLimiter, TokenAuthorizer
 from repro.server.hub import DEFAULT_TAIL_QUEUE, BroadcastHub, Subscription
 from repro.server.protocol import (
     CODEC_JSON,
+    CODECS,
     ProtocolError,
-    available_codecs,
+    aggregates_to_wire,
     encode_frame,
     read_frame,
     recordings_to_wire,
-    aggregate_to_wire,
-    zoom_cell_to_wire,
+    zoom_cells_to_wire,
 )
 
 __all__ = ["StreamDBServer", "DEFAULT_INGEST_QUEUE"]
@@ -71,6 +75,28 @@ class _RequestError(ReproError):
         super().__init__(message)
         self.code = code
         self.extra = extra
+
+
+def _number(request: Dict, key: str, *, required: bool = False) -> Optional[float]:
+    """``request[key]`` as a float; ``None`` when it is absent and optional."""
+    value = request.get(key)
+    if value is None:
+        if required:
+            raise _RequestError("bad_request", f"{request.get('op')} needs {key}")
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _RequestError("bad_request", f"{key} must be a number, not {type(value).__name__}")
+    return float(value)
+
+
+def _integer(request: Dict, key: str, default: int) -> int:
+    """``request[key]`` as an int; ``default`` when it is absent."""
+    value = request.get(key)
+    if value is None:
+        return default
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise _RequestError("bad_request", f"{key} must be an integer, not {type(value).__name__}")
+    return value
 
 
 @dataclass
@@ -96,11 +122,11 @@ class _Connection:
     write_lock: "asyncio.Lock" = field(default_factory=asyncio.Lock)
     next_subscription: int = 1
 
-    async def send(self, body: Dict) -> None:
+    async def send(self, body: Dict, codec: Optional[str] = None) -> None:
         # One frame at a time per connection: responses and tail pushes
         # share the socket, and an interleaved write would tear frames.
         async with self.write_lock:
-            self.writer.write(encode_frame(body, self.codec))
+            self.writer.write(encode_frame(body, codec or self.codec))
             await self.writer.drain()
 
 
@@ -325,6 +351,7 @@ class StreamDBServer:
     async def _dispatch(self, connection: _Connection, request: Dict) -> None:
         request_id = request.get("id")
         op = request.get("op")
+        codec = connection.codec  # so a hello is answered in the codec it came in
         try:
             handler = self._HANDLERS.get(op)
             if handler is None:
@@ -349,7 +376,7 @@ class StreamDBServer:
                 },
             }
         try:
-            await connection.send(response)
+            await connection.send(response, codec)
         except ConnectionError:
             pass
 
@@ -366,31 +393,28 @@ class StreamDBServer:
             )
         return stream
 
-    @staticmethod
-    def _float_or_none(request: Dict, key: str):
-        value = request.get(key)
-        return None if value is None else float(value)
-
     # ------------------------------------------------------------------ #
     # Ops
     # ------------------------------------------------------------------ #
     async def _op_hello(self, connection: _Connection, request: Dict) -> Dict:
         wanted = request.get("codec")
-        codecs = available_codecs()
         if wanted is not None:
-            if wanted not in codecs:
+            if wanted not in CODECS:
                 raise _RequestError("bad_request", f"codec {wanted!r} not available")
             connection.codec = wanted
         return {
             "server": "repro-streamdb",
             "version": __version__,
-            "codecs": codecs,
+            "codecs": list(CODECS),
             "codec": connection.codec,
             "auth_required": self._authorizer.enabled,
         }
 
     async def _op_auth(self, connection: _Connection, request: Dict) -> Dict:
-        grants = self._authorizer.grants(request.get("token"))
+        token = request.get("token")
+        if token is not None and not isinstance(token, str):
+            raise _RequestError("bad_request", "token must be a string")
+        grants = self._authorizer.grants(token)
         if grants is None:
             raise _RequestError("auth", "unknown token")
         connection.grants = grants
@@ -401,13 +425,19 @@ class StreamDBServer:
 
     async def _op_ingest(self, connection: _Connection, request: Dict) -> Dict:
         stream = self._require_stream(connection, request)
-        times = request.get("times")
-        values = request.get("values")
-        if times is None or values is None:
+        if request.get("times") is None or request.get("values") is None:
             raise _RequestError("bad_request", "ingest needs times and values")
-        admitted, retry_after = self._limiter.admit(
-            (connection.ident, stream), len(times)
-        )
+        try:
+            times, values = normalize_chunk(request["times"], request["values"])
+        except (ValueError, TypeError) as error:
+            raise _RequestError("bad_request", str(error)) from None
+        points = len(times)
+        if not points:
+            # Nothing to record.  Queued, it would create the stream's filter,
+            # and an epsilon percentage cannot resolve against no values.
+            channel = self._channels.get(stream)
+            return {"accepted": 0, "queued": channel.source.qsize() if channel else 0}
+        admitted, retry_after = self._limiter.admit((connection.ident, stream), points)
         if not admitted:
             raise _RequestError(
                 "rate_limit",
@@ -428,10 +458,8 @@ class StreamDBServer:
                 f"ingest queue for stream {stream!r} is full",
                 retry_after=_THROTTLE_RETRY,
             ) from None
-        except (ValueError, TypeError) as error:
-            raise _RequestError("bad_request", str(error)) from None
-        channel.points += len(times)
-        return {"accepted": len(times), "queued": channel.source.qsize()}
+        channel.points += points
+        return {"accepted": points, "queued": channel.source.qsize()}
 
     async def _op_sync(self, connection: _Connection, request: Dict) -> Dict:
         stream = self._require_stream(connection, request)
@@ -526,70 +554,62 @@ class StreamDBServer:
     async def _op_read(self, connection: _Connection, request: Dict) -> Dict:
         stream = self._require_stream(connection, request)
         recordings = await self._query(
-            self._db.read,
-            stream,
-            self._float_or_none(request, "start"),
-            self._float_or_none(request, "end"),
+            self._db.read, stream, _number(request, "start"), _number(request, "end")
         )
-        return {"recordings": recordings_to_wire(recordings)}
+        return recordings_to_wire(recordings)
 
     async def _op_aggregate(self, connection: _Connection, request: Dict) -> Dict:
         stream = self._require_stream(connection, request)
         call = functools.partial(
             self._db.aggregate,
             stream,
-            self._float_or_none(request, "start"),
-            self._float_or_none(request, "end"),
-            window=self._float_or_none(request, "window"),
-            step=self._float_or_none(request, "step"),
-            dimension=int(request.get("dimension", 0)),
+            _number(request, "start"),
+            _number(request, "end"),
+            window=_number(request, "window"),
+            step=_number(request, "step"),
+            dimension=_integer(request, "dimension", 0),
         )
         result = await self._query(call)
         if isinstance(result, list):
-            return {"windows": [aggregate_to_wire(aggregate) for aggregate in result]}
-        return {"aggregate": aggregate_to_wire(result)}
+            return {"windows": aggregates_to_wire(result)}
+        return {"aggregate": aggregates_to_wire([result])[0]}
 
     async def _op_resample(self, connection: _Connection, request: Dict) -> Dict:
         stream = self._require_stream(connection, request)
-        if request.get("step") is None:
-            raise _RequestError("bad_request", "resample needs step")
         times, values = await self._query(
             self._db.resample,
             stream,
-            float(request["step"]),
-            self._float_or_none(request, "start"),
-            self._float_or_none(request, "end"),
+            _number(request, "step", required=True),
+            _number(request, "start"),
+            _number(request, "end"),
         )
-        return {"times": times.tolist(), "values": values.tolist()}
+        return {"times": times, "values": values}
 
     async def _op_zoom(self, connection: _Connection, request: Dict) -> Dict:
         stream = self._require_stream(connection, request)
         call = functools.partial(
             self._db.zoom,
             stream,
-            self._float_or_none(request, "start"),
-            self._float_or_none(request, "end"),
-            dimension=int(request.get("dimension", 0)),
+            _number(request, "start"),
+            _number(request, "end"),
+            max_points=_integer(request, "max_points", DEFAULT_MAX_POINTS),
+            dimension=_integer(request, "dimension", 0),
         )
-        if request.get("max_points") is not None:
-            call = functools.partial(call, max_points=int(request["max_points"]))
         cells = await self._query(call)
-        return {"cells": [zoom_cell_to_wire(cell) for cell in cells]}
+        return {"cells": zoom_cells_to_wire(cells)}
 
     async def _op_crossings(self, connection: _Connection, request: Dict) -> Dict:
         stream = self._require_stream(connection, request)
-        if request.get("threshold") is None:
-            raise _RequestError("bad_request", "crossings needs threshold")
         call = functools.partial(
             self._db.crossings,
             stream,
-            float(request["threshold"]),
-            self._float_or_none(request, "start"),
-            self._float_or_none(request, "end"),
-            dimension=int(request.get("dimension", 0)),
+            _number(request, "threshold", required=True),
+            _number(request, "start"),
+            _number(request, "end"),
+            dimension=_integer(request, "dimension", 0),
         )
         times = await self._query(call)
-        return {"times": [float(time) for time in times]}
+        return {"times": np.asarray(times, dtype=float)}
 
     async def _query(self, fn, *args):
         try:
@@ -610,7 +630,7 @@ class StreamDBServer:
         return {"subscription": ident}
 
     async def _op_unsubscribe(self, connection: _Connection, request: Dict) -> Dict:
-        ident = request.get("subscription")
+        ident = _integer(request, "subscription", 0)
         task = connection.subscriptions.get(ident)
         if task is None:
             raise _RequestError("bad_request", f"unknown subscription {ident!r}")
@@ -639,7 +659,7 @@ class StreamDBServer:
                         "stream": event.stream,
                         "seq": event.seq,
                         "sealed": event.sealed,
-                        "recordings": recordings_to_wire(event.recordings),
+                        **recordings_to_wire(event.recordings),
                     }
                 )
             await connection.send(

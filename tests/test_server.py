@@ -13,6 +13,8 @@ from __future__ import annotations
 import asyncio
 import os
 import signal
+import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -20,6 +22,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro
 import repro.client
@@ -28,7 +31,9 @@ from repro.api import FilterSpec
 from repro.client import AsyncStreamClient, ServerError, StreamClient
 from repro.server import BroadcastHub, StreamDBServer
 from repro.server.protocol import (
+    CODEC_ARRAYS,
     CODEC_JSON,
+    CODECS,
     ProtocolError,
     decode_body,
     encode_frame,
@@ -113,15 +118,170 @@ class ServerHarness:
         return repro.client.connect("127.0.0.1", self.port, **kwargs)
 
 
+def roundtrip(body, codec):
+    frame = encode_frame(body, codec)
+    (length,) = struct.unpack(">I", frame[:4])
+    assert length == len(frame) - 4
+    return decode_body(frame[4:5], frame[5:])
+
+
+def array_frame(header: bytes, sections: bytes = b"", declared=None) -> bytes:
+    """An ``A`` frame payload with a hand-written envelope (for malformed cases)."""
+    size = len(header) if declared is None else declared
+    return struct.pack(">I", size) + header + sections
+
+
+# Arrays ride as float64 under both codecs: every float below must come back
+# with its exact bits, the signed zeros, subnormals and infinities included.
+special_floats = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-310, float("inf"), float("-inf"), float("nan")]
+)
+wire_floats = st.one_of(special_floats, st.floats(allow_nan=False))
+
+
+@st.composite
+def wire_arrays(draw):
+    rows = draw(st.integers(0, 6))
+    shape = draw(st.sampled_from([(0,), (rows,), (rows, draw(st.integers(1, 4)))]))
+    items = int(np.prod(shape))
+    floats = draw(st.lists(wire_floats, min_size=items, max_size=items))
+    return np.array(floats, dtype=float).reshape(shape)
+
+
 # --------------------------------------------------------------------------- #
 # Wire protocol
 # --------------------------------------------------------------------------- #
 class TestProtocol:
-    def test_frame_roundtrip(self):
+    @pytest.mark.parametrize("codec", CODECS)
+    def test_frame_roundtrip(self, codec):
         body = {"id": 7, "op": "ingest", "times": [0.1, 0.2], "values": [1.0, -2.5]}
-        frame = encode_frame(body, CODEC_JSON)
+        assert roundtrip(body, codec) == body
+
+    @pytest.mark.parametrize("codec", CODECS)
+    @settings(max_examples=60, deadline=None)
+    @given(first=wire_arrays(), second=wire_arrays(), third=wire_arrays())
+    def test_arrays_roundtrip_bit_identical(self, codec, first, second, third):
+        body = {
+            "id": 3,
+            "times": first,
+            "nested": {"values": second, "list": [third, {"label": "x"}, 1.5]},
+        }
+        decoded = roundtrip(body, codec)
+        assert decoded["id"] == 3 and decoded["nested"]["list"][1:] == [{"label": "x"}, 1.5]
+        for sent, received in (
+            (first, decoded["times"]),
+            (second, decoded["nested"]["values"]),
+            (third, decoded["nested"]["list"][0]),
+        ):
+            assert np.asarray(received, dtype=float).tobytes() == sent.tobytes()
+            if codec == CODEC_ARRAYS:
+                assert np.asarray(received).shape == sent.shape
+
+    @settings(max_examples=60, deadline=None)
+    @given(bits=st.lists(st.integers(0, 2**64 - 1), max_size=12))
+    def test_array_frames_keep_every_bit_pattern(self, bits):
+        """Sections are raw bytes: NaN payloads and signs survive too."""
+        array = np.array(bits, dtype=np.uint64).view(np.float64)
+        decoded = roundtrip({"values": array}, CODEC_ARRAYS)
+        assert bytes(decoded["values"]) == array.tobytes()
+
+    def test_array_sections_are_typed_memoryviews(self):
+        values = np.arange(12.0).reshape(6, 2)
+        frame = encode_frame({"times": np.arange(6.0), "values": values}, CODEC_ARRAYS)
+        body = decode_body(frame[4:5], frame[5:])
+        assert isinstance(body["values"], memoryview)
+        assert body["values"].format == "d" and body["values"].shape == (6, 2)
+        assert body["values"].readonly
+        # the first section starts 8-byte aligned in the payload
+        (header,) = struct.unpack(">I", frame[5:9])
+        assert (4 + header) % 8 == 0
+        np.testing.assert_array_equal(np.asarray(body["values"]), values)
+
+    @pytest.mark.parametrize("codec", CODECS)
+    @pytest.mark.parametrize("size", [0, 3])
+    def test_decoded_ingest_times_take_len_and_truth(self, codec, size):
+        """Tracing code runs ``len(body.get("times") or ())`` on each ingest body."""
+        times = np.arange(float(size))
+        body = roundtrip({"op": "ingest", "times": times, "values": times}, codec)
+        assert len(body.get("times") or ()) == size
+        assert bool(body["times"]) == bool(size)
+
+    def test_floats_roundtrip_bit_identical(self):
+        rng = np.random.default_rng(11)
+        values = list(rng.normal(0.0, 1e6, 256)) + [1e-308, 0.1 + 0.2]
+        frame = encode_frame({"values": values}, CODEC_JSON)
         decoded = decode_body(frame[4:5], frame[5:])
-        assert decoded == body
+        assert decoded["values"] == values
+
+    @pytest.mark.parametrize("codec", CODECS)
+    def test_recordings_roundtrip(self, tmp_path, codec):
+        times, values = make_workload(seed=1, length=400)
+        recordings = reference_recordings(tmp_path / "store", times, values)
+        wired = recordings_from_wire(roundtrip(recordings_to_wire(recordings), codec))
+        assert_recordings_identical(wired, recordings)
+        assert recordings_from_wire(roundtrip(recordings_to_wire([]), codec)) == []
+
+    def test_unknown_codec_rejected(self):
+        with pytest.raises(ProtocolError):
+            decode_body(b"X", b"{}")
+
+    @pytest.mark.parametrize(
+        "payload, reason",
+        [
+            (b"\x00\x00", "shorter than its header length"),
+            (array_frame(b"{}", declared=3), "header of 3 bytes runs past the frame"),
+            (array_frame(b'{"a":{"$f8":[2]}}', b"\x00" * 8), "overruns the frame"),
+            (array_frame(b'{"a":{"$f8":[4194304,4194304]}}'), "overruns the frame"),
+            (array_frame(b'{"a":{"$f8":[1]}}', b"\x00" * 9), "1 bytes trail"),
+            (array_frame(b"{}", b"\x00"), "1 bytes trail"),
+            (array_frame(b'{"a":{"$f8":[1.0]}}', b"\x00" * 8), "placeholder"),  # non-integer
+            (array_frame(b'{"a":{"$f8":[true]}}', b"\x00" * 8), "placeholder"),  # boolean
+            (array_frame(b'{"a":{"$f8":[-1]}}'), "placeholder"),  # negative
+            (array_frame(b'{"a":{"$f8":[1180591620717411303424]}}'), "placeholder"),  # huge
+            (array_frame(b'{"a":{"$f8":[0,1099511627776]}}'), "placeholder"),  # 0 beside huge
+            (array_frame(b'{"a":{"$f8":[]}}'), "placeholder"),  # no dims
+            (array_frame(b'{"a":{"$f8":[1,1,1]}}', b"\x00" * 8), "placeholder"),  # three dims
+            (array_frame(b'{"a":{"$f8":"1"}}', b"\x00" * 8), "placeholder"),  # not a list
+            (array_frame(b'{"a":{"$f8":[1],"b":2}}', b"\x00" * 8), "placeholder"),  # extra key
+            (array_frame(b'{"$f8":[1]}', b"\x00" * 8), "must be a dict"),
+            (array_frame(b"[1,2]"), "must be a dict"),
+            (array_frame(b"{not json"), "undecodable"),
+            (array_frame(b'{"a":"\xff"}'), "undecodable"),  # not UTF-8
+        ],
+    )
+    def test_malformed_array_frames_rejected(self, payload, reason):
+        with pytest.raises(ProtocolError, match=reason):
+            decode_body(b"A", payload)
+
+    @pytest.mark.parametrize("codec", CODECS)
+    def test_unencodable_bodies_rejected(self, codec):
+        """Both codecs accept exactly the arrays the body schema allows."""
+        with pytest.raises(ProtocolError):
+            encode_frame({"cube": np.zeros((2, 2, 2))}, codec)
+        with pytest.raises(ProtocolError):
+            encode_frame({"scalar": np.array(1.0)}, codec)
+        with pytest.raises(TypeError):
+            encode_frame({"set": {1.0}}, codec)
+
+    def test_malformed_json_frames_rejected(self):
+        for payload in (b"[1, 2]", b"{not json", b'{"a": "\xff"}'):
+            with pytest.raises(ProtocolError):
+                decode_body(b"J", payload)
+        with pytest.raises(ProtocolError):
+            encode_frame({}, "X")
+
+    def test_malformed_frame_closes_only_its_connection(self, tmp_path):
+        times, values = make_workload(seed=24, length=1000)
+        with ServerHarness(tmp_path / "store") as harness:
+            with harness.connect() as client:
+                client.ingest("sensor", times[:500], values[:500])
+                with socket.create_connection(("127.0.0.1", harness.port), timeout=30) as raw:
+                    payload = array_frame(b'{"id":1,"op":"ingest","times":{"$f8":[9]}}')
+                    raw.sendall(struct.pack(">I", len(payload) + 1) + b"A" + payload)
+                    assert raw.recv(1) == b""  # the server hung up on this client
+                client.ingest("sensor", times[500:], values[500:])
+                assert client.sync("sensor") == times.size
+                assert len(client.read("sensor")) > 0
 
     def test_floats_roundtrip_bit_identical(self):
         rng = np.random.default_rng(11)
@@ -144,11 +304,13 @@ class TestProtocol:
 # --------------------------------------------------------------------------- #
 # Ingest → query parity over the wire
 # --------------------------------------------------------------------------- #
+@pytest.mark.parametrize("codec", CODECS)
 class TestServedParity:
-    def test_single_client_roundtrip(self, tmp_path):
+    def test_single_client_roundtrip(self, tmp_path, codec):
         times, values = make_workload(seed=21, length=2000)
         with ServerHarness(tmp_path / "store") as harness:
-            with harness.connect() as client:
+            with harness.connect(codec=codec) as client:
+                assert client.server_info["codec"] == codec
                 client.ping()
                 accepted = client.ingest("sensor", times, values)
                 assert accepted == times.size
@@ -166,34 +328,41 @@ class TestServedParity:
         # the pre-seal read already covers every point (live tail included)
         assert recordings[0].time == expected[0].time
 
-    def test_queries_match_local_session(self, tmp_path):
+    def test_queries_match_local_session(self, tmp_path, codec):
         times, values = make_workload(seed=22, length=2000)
+
+        def ask(db):
+            return {
+                "aggregate": db.aggregate("sensor", 100.0, 1500.0),
+                "windows": db.aggregate("sensor", 0.0, 1800.0, window=300.0),
+                "rolling": db.aggregate("sensor", 0.0, 1800.0, window=300.0, step=70.0),
+                "resample": db.resample("sensor", step=25.0),
+                "crossings": db.crossings("sensor", float(values[200])),
+                "no_crossings": db.crossings("sensor", 1e9),
+                "zoom": db.zoom("sensor", max_points=32),
+                "read": db.read("sensor", 100.0, 400.0),
+            }
+
         with ServerHarness(tmp_path / "store") as harness:
-            with harness.connect() as client:
+            with harness.connect(codec=codec) as client:
                 client.ingest("sensor", times, values)
                 client.sync("sensor")
                 client.seal("sensor")
-                served_agg = client.aggregate("sensor", 100.0, 1500.0)
-                served_windows = client.aggregate("sensor", 0.0, 1800.0, window=300.0)
-                grid, samples = client.resample("sensor", step=25.0)
-                crossings = client.crossings("sensor", float(values[200]))
-                cells = client.zoom("sensor", max_points=32)
+                served = ask(client)
         with repro.open(tmp_path / "ref", filter=FILTER) as db:
             db.append("sensor", times, values)
             db.seal("sensor")
-            local_agg = db.aggregate("sensor", 100.0, 1500.0)
-            local_windows = db.aggregate("sensor", 0.0, 1800.0, window=300.0)
-            local_grid, local_samples = db.resample("sensor", step=25.0)
-            local_crossings = db.crossings("sensor", float(values[200]))
-            local_cells = db.zoom("sensor", max_points=32)
-        assert served_agg == local_agg
-        assert served_windows == local_windows
-        np.testing.assert_array_equal(grid, local_grid)
-        np.testing.assert_array_equal(samples, local_samples)
-        np.testing.assert_array_equal(crossings, local_crossings)
-        assert cells == local_cells
+            local = ask(db)
+        assert_recordings_identical(served.pop("read"), local.pop("read"))
+        grid, samples = served.pop("resample")
+        local_grid, local_samples = local.pop("resample")
+        assert grid.tobytes() == local_grid.tobytes()
+        assert samples.shape == local_samples.shape
+        assert samples.tobytes() == local_samples.tobytes()
+        assert served["no_crossings"] == []
+        assert served == local
 
-    def test_concurrent_clients_many_streams(self, tmp_path):
+    def test_concurrent_clients_many_streams(self, tmp_path, codec):
         clients, streams_per_client, length = 4, 2, 1200
         workloads = {}
         for c in range(clients):
@@ -205,7 +374,7 @@ class TestServedParity:
 
         def run_client(c):
             try:
-                with repro.client.connect("127.0.0.1", port) as client:
+                with repro.client.connect("127.0.0.1", port, codec=codec) as client:
                     for s in range(streams_per_client):
                         name = f"client{c}/stream{s}"
                         times, values = workloads[name]
@@ -243,10 +412,11 @@ class TestServedParity:
 # Live tails
 # --------------------------------------------------------------------------- #
 class TestTail:
-    def test_tail_delivers_every_recording(self, tmp_path):
+    @pytest.mark.parametrize("codec", CODECS)
+    def test_tail_delivers_every_recording(self, tmp_path, codec):
         times, values = make_workload(seed=31, length=1500)
         with ServerHarness(tmp_path / "store") as harness:
-            with harness.connect() as client:
+            with harness.connect(codec=codec) as client:
                 subscription = client.subscribe("sensor")
                 for lo in range(0, times.size, 250):
                     client.ingest("sensor", times[lo : lo + 250], values[lo : lo + 250])
@@ -259,18 +429,21 @@ class TestTail:
         assert events[-1].sealed
         tailed = [record for event in events for record in event.recordings]
         assert_recordings_identical(tailed, sealed_read)
+        expected = reference_recordings(tmp_path / "ref", times, values)
+        assert_recordings_identical(tailed, expected)
 
-    def test_two_subscribers_see_identical_tails(self, tmp_path):
+    @pytest.mark.parametrize("codec", CODECS)
+    def test_two_subscribers_see_identical_tails(self, tmp_path, codec):
         times, values = make_workload(seed=32, length=800)
 
         async def run():
             db = repro.open(tmp_path / "store", filter=FILTER)
             async with StreamDBServer(db, port=0) as server:
-                first = await AsyncStreamClient.connect("127.0.0.1", server.port)
-                second = await AsyncStreamClient.connect("127.0.0.1", server.port)
+                first = await AsyncStreamClient.connect("127.0.0.1", server.port, codec=codec)
+                second = await AsyncStreamClient.connect("127.0.0.1", server.port, codec=codec)
                 sub_a = await first.subscribe("sensor")
                 sub_b = await second.subscribe("sensor")
-                writer = await AsyncStreamClient.connect("127.0.0.1", server.port)
+                writer = await AsyncStreamClient.connect("127.0.0.1", server.port, codec=codec)
                 for lo in range(0, times.size, 200):
                     await writer.ingest(
                         "sensor", times[lo : lo + 200], values[lo : lo + 200]
@@ -289,6 +462,8 @@ class TestTail:
         flat_a = [r for e in events_a for r in e.recordings]
         flat_b = [r for e in events_b for r in e.recordings]
         assert_recordings_identical(flat_a, flat_b)
+        expected = reference_recordings(tmp_path / "ref", times, values)
+        assert_recordings_identical(flat_a, expected)
 
     def test_slow_subscriber_evicted_from_hub(self):
         async def run():
@@ -425,6 +600,68 @@ class TestServerErrors:
                 assert unknown_op.value.code == "bad_request"
                 client.ping()  # connection survived every error
 
+    def test_hello_refuses_unknown_codecs(self, tmp_path):
+        with ServerHarness(tmp_path / "store") as harness:
+            for codec in ("M", "X"):  # msgpack is no longer spoken
+                with pytest.raises(ServerError) as refused:
+                    harness.connect(codec=codec)
+                assert refused.value.code == "bad_request"
+            with harness.connect() as client:
+                assert client.server_info["codecs"] == list(CODECS)
+                assert client.server_info["codec"] == CODEC_ARRAYS
+            with harness.connect(codec=None) as client:  # the connection's own default
+                assert client.server_info["codec"] == CODEC_JSON
+                client.ping()
+            with socket.create_connection(("127.0.0.1", harness.port), timeout=30) as raw:
+                frames = raw.makefile("rb")
+
+                def exchange(body, codec):
+                    raw.sendall(encode_frame(body, codec))
+                    (length,) = struct.unpack(">I", frames.read(4))
+                    blob = frames.read(length)
+                    return blob[:1], decode_body(blob[:1], blob[1:])
+
+                # hello is JSON both ways; the granted codec starts after it
+                tag, answer = exchange({"id": 1, "op": "hello", "codec": "A"}, CODEC_JSON)
+                assert (tag, answer["codec"]) == (b"J", CODEC_ARRAYS)
+                tag, answer = exchange({"id": 2, "op": "ping"}, CODEC_ARRAYS)
+                assert (tag, answer["ok"]) == (b"A", True)
+                frames.close()
+
+    @pytest.mark.parametrize(
+        "op, params",
+        [
+            ("ingest", {"times": 5, "values": [1.0]}),
+            ("ingest", {"times": [1.0], "values": 5}),
+            ("ingest", {"times": "x", "values": [1.0]}),
+            ("ingest", {"times": [[1.0, 2.0]], "values": [1.0]}),
+            ("aggregate", {"start": "x"}),
+            ("aggregate", {"dimension": "x"}),
+            ("aggregate", {"dimension": 0.5}),
+            ("aggregate", {"window": [1.0]}),
+            ("read", {"end": True}),
+            ("resample", {"step": "x"}),
+            ("resample", {}),
+            ("zoom", {"max_points": "x"}),
+            ("crossings", {"threshold": "x"}),
+            ("crossings", {"threshold": 1.0, "dimension": {}}),
+            ("unsubscribe", {"subscription": [1]}),
+            ("auth", {"token": [1]}),
+        ],
+    )
+    def test_malformed_parameters_are_bad_requests(self, tmp_path, op, params):
+        times, values = make_workload(seed=25, length=300)
+        with ServerHarness(tmp_path / "store") as harness:
+            with harness.connect() as client:
+                client.ingest("sensor", times, values)
+                client.sync("sensor")
+                with pytest.raises(ServerError) as rejected:
+                    client._request(op, stream="sensor", **params)
+                assert rejected.value.code == "bad_request", rejected.value
+                # the same connection goes on serving
+                assert client.aggregate("sensor").end == times[-1]
+                assert client.ingest("sensor", times + 1000.0, values) == times.size
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_chunk_is_a_bad_request(self, tmp_path, bad):
         """The chunk is refused before it is acknowledged; the stream goes on."""
@@ -442,6 +679,32 @@ class TestServerErrors:
                 client.seal("sensor")
                 served = client.read("sensor")
         expected = reference_recordings(tmp_path / "ref", times, values)
+        assert_recordings_identical(served, expected)
+
+    @pytest.mark.parametrize("codec", CODECS)
+    def test_empty_chunk_leaves_a_percent_stream_healthy(self, tmp_path, codec):
+        """An empty chunk is acknowledged, not queued ahead of the filter."""
+        spec = FilterSpec("slide", epsilon_percent=5.0)
+        times, values = make_workload(seed=27, length=1500)
+
+        async def run():
+            db = repro.open(tmp_path / "store", filter=spec)
+            async with StreamDBServer(db, port=0) as server:
+                client = await AsyncStreamClient.connect("127.0.0.1", server.port, codec=codec)
+                assert await client.ingest("s", [], []) == 0
+                assert await client.sync("s") == 0
+                assert await client.ingest("s", times, values) == times.size
+                assert await client.sync("s") == times.size
+                await client.seal("s")
+                served = await client.read("s")
+                await client.close()
+                return served
+
+        served = asyncio.run(run())
+        with repro.open(tmp_path / "ref", filter=spec) as db:
+            db.append("s", times, values)
+            db.seal("s")
+            expected = db.read("s")
         assert_recordings_identical(served, expected)
 
     @pytest.mark.faults
@@ -480,6 +743,85 @@ class TestServerErrors:
                 await client.close()
 
         asyncio.run(run())
+
+
+# --------------------------------------------------------------------------- #
+# Query arguments are checked once, whichever path answers
+# --------------------------------------------------------------------------- #
+QUERY_STREAMS = ("young", "archived", "sealed")
+BAD_QUERY_ARGUMENTS = [
+    ("aggregate", {"dimension": 2}),
+    ("aggregate", {"dimension": 5}),
+    ("aggregate", {"dimension": -1}),
+    ("aggregate", {"window": 50.0, "dimension": 5}),
+    ("zoom", {"dimension": 5}),
+    ("zoom", {"dimension": -1}),
+    ("zoom", {"max_points": 0}),
+    ("zoom", {"max_points": 2}),
+    ("zoom", {"max_points": -1}),
+    ("crossings", {"threshold": 0.0, "dimension": 5}),
+    ("crossings", {"threshold": 0.0, "dimension": -1}),
+]
+
+
+def query_argument_session(directory):
+    """A 2-D session with one stream per query path: young live (nothing
+    archived yet), archived live (stored plus a live tail) and sealed."""
+    rng = np.random.default_rng(26)
+    times = np.arange(400.0)
+    values = np.cumsum(rng.normal(0.0, 0.5, (400, 2)), axis=0)
+    db = repro.open(directory, filter=FILTER)
+    db.append("sealed", times, values)
+    db.seal("sealed")
+    db.append("archived", times, values)
+    db.flush()
+    db.append("young", times, values)
+    assert "young" not in db.store and "archived" in db.store
+    assert db.live_streams() == ["archived", "young"]
+    return db
+
+
+def valid_answers(db, stream):
+    return (
+        db.aggregate(stream, dimension=1),
+        db.zoom(stream, max_points=4, dimension=1),
+        db.crossings(stream, 0.0, dimension=1),
+    )
+
+
+class TestQueryArguments:
+    def test_in_process(self, tmp_path):
+        with query_argument_session(tmp_path / "store") as db:
+            for stream in QUERY_STREAMS:
+                for op, params in BAD_QUERY_ARGUMENTS:
+                    with pytest.raises(ValueError):
+                        getattr(db, op)(stream, **params)
+                aggregate, cells, _ = valid_answers(db, stream)
+                assert aggregate != db.aggregate(stream, dimension=0)
+                assert 0 < len(cells) <= 4
+
+    def test_served(self, tmp_path):
+        db = query_argument_session(tmp_path / "store")
+        expected = {stream: valid_answers(db, stream) for stream in QUERY_STREAMS}
+
+        async def run():
+            async with StreamDBServer(db, port=0) as server:
+                client = await AsyncStreamClient.connect("127.0.0.1", server.port)
+                answers = {}
+                for stream in QUERY_STREAMS:
+                    for op, params in BAD_QUERY_ARGUMENTS:
+                        with pytest.raises(ServerError) as rejected:
+                            await getattr(client, op)(stream, **params)
+                        assert rejected.value.code == "bad_request", (stream, op, params)
+                    answers[stream] = (
+                        await client.aggregate(stream, dimension=1),
+                        await client.zoom(stream, max_points=4, dimension=1),
+                        await client.crossings(stream, 0.0, dimension=1),
+                    )
+                await client.close()
+                return answers
+
+        assert asyncio.run(run()) == expected
 
 
 # --------------------------------------------------------------------------- #
