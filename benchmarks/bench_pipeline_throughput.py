@@ -76,18 +76,16 @@ def run_batched(name: str, times, values, epsilon, chunk_size: int) -> tuple:
 def check_equivalence(times, values, epsilon, chunk_size: int, prefix: int = 20_000) -> None:
     times, values = times[:prefix], values[:prefix]
     for name in PAPER_FILTERS:
-        reference = create_filter(name, epsilon)
-        for t, v in zip(times, values):
-            reference.feed(t, v)
-        reference.finish()
-        candidate = create_filter(name, epsilon)
+        reference = create_filter(name, epsilon).process(zip(times, values)).recordings
+        batch_filter = create_filter(name, epsilon)
+        candidate = []
         for start in range(0, len(times), chunk_size):
-            candidate.process_batch(
+            candidate += batch_filter.process_batch(
                 times[start : start + chunk_size], values[start : start + chunk_size]
             )
-        candidate.finish()
-        assert reference.recording_count == candidate.recording_count, name
-        for expected, actual in zip(reference.recordings, candidate.recordings):
+        candidate += batch_filter.finish()
+        assert len(reference) == len(candidate), name
+        for expected, actual in zip(reference, candidate):
             assert actual.time == expected.time and np.array_equal(
                 actual.value, expected.value
             ), name

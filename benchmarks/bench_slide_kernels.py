@@ -104,32 +104,31 @@ WORKLOADS = (
 # --------------------------------------------------------------------------- #
 # Measurement
 # --------------------------------------------------------------------------- #
-def recording_tuples(stream_filter):
-    return [
-        (r.time, tuple(float(v) for v in r.value), r.kind)
-        for r in stream_filter.recordings
-    ]
+def recording_tuples(recordings):
+    return [(r.time, tuple(float(v) for v in r.value), r.kind) for r in recordings]
 
 
 def run_pair(times, values, epsilon, chunk_size: int):
     """Per-point vs batch on one workload; asserts identical recordings."""
     per_point = SlideFilter(epsilon)
+    per_point_recordings = []
     started = time.perf_counter()
     for t, v in zip(times, values):
-        per_point.feed(t, v)
-    per_point.finish()
+        per_point_recordings += per_point.feed(t, v)
+    per_point_recordings += per_point.finish()
     per_point_elapsed = time.perf_counter() - started
 
     batch = SlideFilter(epsilon)
+    batch_recordings = []
     started = time.perf_counter()
     for start in range(0, len(times), chunk_size):
-        batch.process_batch(
+        batch_recordings += batch.process_batch(
             times[start : start + chunk_size], values[start : start + chunk_size]
         )
-    batch.finish()
+    batch_recordings += batch.finish()
     batch_elapsed = time.perf_counter() - started
 
-    if recording_tuples(per_point) != recording_tuples(batch):
+    if recording_tuples(per_point_recordings) != recording_tuples(batch_recordings):
         raise AssertionError("batch recordings differ from the per-point path")
     return per_point_elapsed, batch_elapsed, batch.recording_count
 

@@ -76,20 +76,20 @@ def streaming_demo() -> None:
     print("Streaming demo (slide filter): '.' = filtered out, 'R' = recording(s) emitted")
     observed = []
     value = 0.0
-    transmitted = 0
+    transmitted = []
     for t in range(200):
         value += rng.uniform(-1.0, 1.0)
         observed.append((float(t), value))
         recordings = slide.feed(float(t), value)
-        transmitted += len(recordings)
+        transmitted += recordings
         print("R" if recordings else ".", end="")
-    transmitted += len(slide.finish())
+    transmitted += slide.finish()
     print()
 
-    approximation = reconstruct(slide.result())
+    approximation = reconstruct(transmitted)
     print(
-        f"points = 200, recordings transmitted = {transmitted}, "
-        f"compression ratio = {200 / transmitted:.2f}"
+        f"points = 200, recordings transmitted = {len(transmitted)}, "
+        f"compression ratio = {200 / len(transmitted):.2f}"
     )
     print(
         f"max reconstruction error = {approximation.max_absolute_error(observed):.3f} "

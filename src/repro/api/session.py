@@ -15,12 +15,13 @@ engine:
 * :meth:`append` / :meth:`seal` — live, incremental writing with buffered
   archiving;
 * :meth:`query` / :meth:`aggregate` / :meth:`crossings` /
-  :meth:`resample` — answered uniformly over the stored recordings *plus*
-  any live filter's in-flight state: the live filter is snapshot-read
-  (:meth:`~repro.core.base.StreamFilter.snapshot` into a restored clone
-  whose ``finish()`` yields the recordings a flush would produce), so the
-  merged answer is bit-identical to a flush-then-read without disturbing
-  the ongoing compression;
+  :meth:`resample` / :meth:`zoom` — answered uniformly over the stored
+  recordings *plus* any live filter's in-flight state: the live filter is
+  snapshot-read (:meth:`~repro.core.base.StreamFilter.snapshot` into a
+  restored clone whose ``finish()`` yields the recordings a flush would
+  produce), so the merged answer is bit-identical to a flush-then-read
+  without disturbing the ongoing compression.  That live tail is built
+  once per write and shared by every query until the next one;
 * :meth:`snapshot` / :meth:`restore` / :meth:`compact` — lifecycle.
 
 Open a session with :func:`repro.open`::
@@ -64,29 +65,19 @@ from repro.core.state import FilterState
 from repro.core.types import Recording
 from repro.pipeline.ingest import BatchIngestor, IngestReport
 from repro.pipeline.sinks import StoreSink
-from repro.queries.aggregates import (
-    RangeAggregate,
-    range_aggregate,
-    resample as _resample,
-    threshold_crossings,
-    window_aggregates,
-)
+from repro.queries.aggregates import RangeAggregate, threshold_crossings
 from repro.queries.planner import (
+    QueryTail,
     plan_range_aggregate,
     plan_resample,
     plan_window_aggregates,
+    read_with_tail,
 )
-from repro.queries.pyramid import (
-    DEFAULT_MAX_POINTS,
-    ZoomCell,
-    plan_zoom,
-    zoom_cells,
-)
+from repro.queries.pyramid import DEFAULT_MAX_POINTS, ZoomCell, plan_zoom
 from repro.runtime.checkpoint import CheckpointManager, IngestCheckpoint
 from repro.runtime.ingest import ingest_stream_checkpointed
 from repro.runtime.parallel import ParallelIngestReport, ParallelIngestor, StreamTask
 from repro.storage import SegmentStore, ShardedStore, StoreLike
-from repro.storage.backends.base import range_indices
 from repro.storage.segment_store import StoredStream
 
 __all__ = ["StreamDB", "open", "DEFAULT_ARCHIVE_BATCH"]
@@ -160,6 +151,9 @@ class _LiveStream:
 
     filter: StreamFilter
     sink: StoreSink
+    #: The buffered plus in-flight recordings every query merges, built by
+    #: the first query after a write; every write to the stream drops it.
+    tail: Optional[QueryTail] = None
 
 
 #: ``callback(stream, recordings, sealed)`` — see
@@ -500,6 +494,7 @@ class StreamDB:
         # on the closed handle would archive into a stale catalog whose
         # flush could clobber the workers' writes.
         for live_stream in self._live.values():
+            live_stream.tail = None
             live_stream.sink.flush_records()
         self._store.close()
         try:
@@ -608,6 +603,7 @@ class StreamDB:
                 ),
             )
             self._live[stream] = live
+        live.tail = None
         recordings = live.filter.process_batch(times, values)
         live.sink.write(recordings)
         if recordings:
@@ -707,6 +703,7 @@ class StreamDB:
             live = self._live[stream]
         except KeyError:
             raise KeyError(f"stream {stream!r} has no live writer") from None
+        live.tail = None
         live.sink.flush()
         state = live.filter.snapshot()
         del self._live[stream]
@@ -744,6 +741,7 @@ class StreamDB:
         """
         self._check_open()
         for live in self._live.values():
+            live.tail = None
             live.sink.flush_records()
         self._store.flush()
 
@@ -771,17 +769,12 @@ class StreamDB:
         """
         self._check_open()
         live = self._live.get(stream)
-        stored = self._store.read(stream, start, end) if stream in self._store else []
         if live is None:
-            if stream not in self._store:
-                raise KeyError(f"unknown stream {stream!r}")
-            return stored
-        tail = list(live.sink.pending) + self._in_flight(live)
-        if not tail:
-            return stored
-        merged = stored + tail
-        times = np.fromiter((r.time for r in merged), dtype=float, count=len(merged))
-        return [merged[index] for index in range_indices(times, start, end)]
+            return self._store.read(stream, start, end)
+        tail = self._live_tail(live)
+        if not tail and stream not in self._store:
+            return []  # live, but no point seen yet
+        return read_with_tail(self._store, stream, start, end, tail)
 
     def query(
         self,
@@ -816,41 +809,31 @@ class StreamDB:
         that advance by ``step`` (overlapping when ``step < window``,
         sampled hops when ``step > window``).
 
-        Stored streams are answered through the block-summary planner
+        Every stream is answered through the block-summary planner
         (:mod:`repro.queries.planner`): whole blocks inside the range
         contribute their pre-aggregated summary and only boundary blocks are
         decoded — rolling windows slide over those summaries incrementally
         instead of re-aggregating each window.  The live tail (buffered
         recordings plus the snapshot-read in-flight segment) joins the plan
-        as a virtual trailing block, so live and sealed streams answer
-        identically.
+        as a virtual trailing block, and is the whole plan of a stream with
+        nothing archived yet, so live and sealed streams answer identically.
 
         Raises:
-            ValueError: If ``step`` is given without ``window``, or
-                ``dimension`` is not one of the stream's dimensions.
+            KeyError: If the stream is neither stored nor live.
+            ValueError: If ``step`` is given without ``window``,
+                ``dimension`` is not one of the stream's dimensions, or the
+                stream holds no recording yet.
         """
         self._check_open()
         if step is not None and window is None:
             raise ValueError("step requires window")
         self._check_dimension(stream, dimension)
-        if stream in self._store:
-            tail = self._query_tail(stream)
-            if window is not None:
-                return plan_window_aggregates(
-                    self._store, stream, window, start, end, dimension,
-                    step=step, tail=tail,
-                )
-            return plan_range_aggregate(
-                self._store, stream, start, end, dimension, tail=tail
-            )
-        recordings = self._read_for_query(stream, start, end)
-        lo, hi = self._bounds(recordings, start, end)
-        approximation = reconstruct(recordings)
+        tail = self._query_tail(stream)
         if window is not None:
-            return window_aggregates(
-                approximation, lo, hi, window, dimension=dimension, step=step
+            return plan_window_aggregates(
+                self._store, stream, window, start, end, dimension, step=step, tail=tail
             )
-        return range_aggregate(approximation, lo, hi, dimension=dimension)
+        return plan_range_aggregate(self._store, stream, start, end, dimension, tail=tail)
 
     @_synchronized
     def zoom(
@@ -866,31 +849,30 @@ class StreamDB:
 
         Returns at most ``max_points`` :class:`~repro.queries.pyramid.ZoomCell`
         (min / max / mean / integral / covered duration each) in time order.
-        Stored streams answer from the persisted zoom pyramid
-        (:mod:`repro.queries.pyramid`): the finest level whose cell count
-        fits the budget is read and only the viewport's edge cells descend
-        to finer levels, so panning and zooming a dashboard never decodes
-        more than the two blocks the viewport cuts.  Live-only streams (and
-        stores without summaries) fall back to uniform bins over the decoded
-        approximation.
+        Streams answer from the persisted zoom pyramid
+        (:mod:`repro.queries.pyramid`), the live tail riding along as one
+        trailing cell: the finest level whose cell count fits the budget is
+        read and only the viewport's edge cells descend to finer levels, so
+        panning and zooming a dashboard never decodes more than the two
+        blocks the viewport cuts.  A stream with nothing archived yet has no
+        pyramid; :func:`~repro.queries.pyramid.plan_zoom` bins its decoded
+        tail uniformly instead.
 
         Raises:
-            ValueError: If ``max_points < 4``, or ``dimension`` is not one
-                of the stream's dimensions.
+            KeyError: If the stream is neither stored nor live.
+            ValueError: If ``max_points < 4``, ``dimension`` is not one of
+                the stream's dimensions, or the stream holds no recording
+                yet.
         """
         self._check_open()
         if max_points < 4:
             raise ValueError(f"max_points must be at least 4, got {max_points}")
         self._check_dimension(stream, dimension)
-        if stream in self._store:
-            return plan_zoom(
-                self._store, stream, start, end,
-                max_points=max_points, dimension=dimension,
-                tail=self._query_tail(stream),
-            )
-        recordings = self._read_for_query(stream, start, end)
-        lo, hi = self._bounds(recordings, start, end)
-        return zoom_cells(reconstruct(recordings), lo, hi, max_points, dimension)
+        return plan_zoom(
+            self._store, stream, start, end,
+            max_points=max_points, dimension=dimension,
+            tail=self._query_tail(stream),
+        )
 
     @_synchronized
     def crossings(
@@ -922,22 +904,27 @@ class StreamDB:
         start: Optional[float] = None,
         end: Optional[float] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Sample the stream's approximation on a regular ``step`` grid."""
+        """Sample the stream's approximation on a regular ``step`` grid.
+
+        Grids sparser than the stream's records go through the planner
+        (:func:`~repro.queries.planner.plan_resample`), live tail included;
+        denser ones decode the range.
+
+        Raises:
+            KeyError: If the stream is neither stored nor live.
+            ValueError: If ``step`` is not positive, or the stream holds no
+                recording yet.
+        """
         self._check_open()
-        if stream in self._store:
-            return plan_resample(
-                self._store, stream, step, start, end, tail=self._query_tail(stream)
-            )
-        recordings = self._read_for_query(stream, start, end)
-        lo, hi = self._bounds(recordings, start, end)
-        return _resample(reconstruct(recordings), lo, hi, step)
+        tail = self._query_tail(stream)
+        return plan_resample(self._store, stream, step, start, end, tail=tail)
 
     def _check_dimension(self, stream: str, dimension: int) -> None:
         """Reject a ``dimension`` the stream does not have.
 
-        Checked once here, before the query paths split, so stored, live
-        and fallback answers refuse the same arguments.  A stream that is
-        unknown or has seen no point yet is left to the query to report.
+        Checked once here, before the query runs, so planned and decoded
+        answers refuse the same arguments.  A stream that is unknown or has
+        seen no point yet is left to the query to report.
         """
         live = self._live.get(stream)
         if live is not None and live.filter.dimensions is not None:
@@ -952,12 +939,29 @@ class StreamDB:
                 f"{dimensions}-dimensional stream {stream!r}"
             )
 
-    def _query_tail(self, stream: str) -> List[Recording]:
-        """The live recordings a query must merge after the stored log."""
+    def _query_tail(self, stream: str) -> QueryTail:
+        """The live tail a planned query merges after ``stream``'s stored log.
+
+        Raises:
+            KeyError: If the stream is neither stored nor live.
+            ValueError: If nothing is archived and the live filter holds no
+                recording yet — the error a decode of nothing gives.
+        """
         live = self._live.get(stream)
         if live is None:
-            return []
-        return list(live.sink.pending) + self._in_flight(live)
+            if stream not in self._store:
+                raise KeyError(f"unknown stream {stream!r}")
+            return QueryTail()
+        tail = self._live_tail(live)
+        if not tail and stream not in self._store:
+            raise ValueError(f"stream {stream!r} has no recordings to query")
+        return tail
+
+    def _live_tail(self, live: _LiveStream) -> QueryTail:
+        """``live``'s buffered plus in-flight recordings, built once per write."""
+        if live.tail is None:
+            live.tail = QueryTail(list(live.sink.pending) + self._in_flight(live))
+        return live.tail
 
     def _read_for_query(
         self, stream: str, start: Optional[float], end: Optional[float]
@@ -966,14 +970,6 @@ class StreamDB:
         if not recordings:
             raise ValueError(f"stream {stream!r} has no recordings to query")
         return recordings
-
-    @staticmethod
-    def _bounds(
-        recordings: Sequence[Recording], start: Optional[float], end: Optional[float]
-    ) -> Tuple[float, float]:
-        lo = float(recordings[0].time) if start is None else float(start)
-        hi = float(recordings[-1].time) if end is None else float(end)
-        return lo, hi
 
     @staticmethod
     def _in_flight(live: _LiveStream) -> List[Recording]:

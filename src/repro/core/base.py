@@ -8,7 +8,8 @@ that is common to the cache, linear, swing and slide filters:
 * validation of the incoming stream (finite, strictly increasing times,
   finite values, constant dimensionality),
 * lazy resolution of the ε specification against the first data point,
-* bookkeeping of emitted recordings and processed points,
+* counts of emitted recordings and processed points (the recordings
+  themselves belong to the caller, which gets each one back exactly once),
 * the public :meth:`feed` / :meth:`finish` / :meth:`process` API.
 
 Concrete filters implement :meth:`_feed_point` and :meth:`_finish_stream`.
@@ -102,7 +103,7 @@ class StreamFilter(abc.ABC):
         self._last_time: Optional[float] = None
         self._points_processed = 0
         self._finished = False
-        self._recordings: List[Recording] = []
+        self._recording_count = 0
         self._pending: List[Recording] = []
 
     # ------------------------------------------------------------------ #
@@ -124,14 +125,15 @@ class StreamFilter(abc.ABC):
         return self._points_processed
 
     @property
-    def recordings(self) -> Sequence[Recording]:
-        """All recordings emitted so far, in order."""
-        return tuple(self._recordings)
-
-    @property
     def recording_count(self) -> int:
-        """Number of recordings emitted so far."""
-        return len(self._recordings)
+        """Number of recordings emitted so far (since construction or
+        :meth:`restore`).
+
+        The filter does not keep the recordings: :meth:`feed`,
+        :meth:`process_batch` and :meth:`finish` return each one once, so a
+        stream served for days holds only its open interval.
+        """
+        return self._recording_count
 
     @property
     def finished(self) -> bool:
@@ -258,20 +260,18 @@ class StreamFilter(abc.ABC):
 
         ``stream`` may yield :class:`DataPoint` instances or ``(t, value)``
         pairs.  The filter instance is single-use: it is finished afterwards.
+        The result holds the recordings this call emitted.
         """
+        recordings: List[Recording] = []
         for element in stream:
             if isinstance(element, DataPoint):
-                self.feed_point(element)
+                recordings += self.feed_point(element)
             else:
                 t, value = element
-                self.feed(t, value)
-        self.finish()
-        return self.result()
-
-    def result(self) -> FilterResult:
-        """Return the accumulated :class:`FilterResult`."""
+                recordings += self.feed(t, value)
+        recordings += self.finish()
         return FilterResult(
-            recordings=list(self._recordings),
+            recordings=recordings,
             points_processed=self._points_processed,
             dimensions=self._dimensions or 0,
         )
@@ -292,8 +292,8 @@ class StreamFilter(abc.ABC):
         checkpointed to disk or shipped to another process.  It contains the
         constructor configuration plus everything that determines future
         recordings — but *not* the recordings already emitted (those belong
-        to the sink that consumed them); a restored filter starts with an
-        empty recording list.
+        to the sink that consumed them); a restored filter's
+        :attr:`recording_count` starts at 0.
 
         Call between :meth:`feed` / :meth:`process_batch` calls, never from
         inside a subclass hook.
@@ -313,8 +313,8 @@ class StreamFilter(abc.ABC):
         recordings bit-identical to an uninterrupted run.  The snapshot's
         configuration (ε, ``max_lag``, filter-specific options) is applied
         too, so the instance behaves exactly like the snapshotted one even if
-        it was constructed with different settings.  The recording list is
-        cleared (see :meth:`snapshot`).
+        it was constructed with different settings.  The recording count
+        restarts at 0 (see :meth:`snapshot`).
 
         Raises:
             FilterStateError: If the snapshot belongs to a different filter
@@ -339,7 +339,7 @@ class StreamFilter(abc.ABC):
             setattr(self, name, copy.deepcopy(state.base[name]))
         for name in self._STATE_FIELDS:
             setattr(self, name, copy.deepcopy(state.payload[name]))
-        self._recordings = []
+        self._recording_count = 0
         self._pending = []
         self._state_restored()
         return self
@@ -394,12 +394,16 @@ class StreamFilter(abc.ABC):
     def _emit(self, time: float, value, kind: RecordingKind) -> Recording:
         """Record a transmitted point and return it.
 
+        It joins the recordings the running :meth:`feed`,
+        :meth:`process_batch` or :meth:`finish` call returns; the filter
+        only counts it.
+
         The value is copied: recordings outlive the call, and ``value`` is
         often a row view of a caller-owned chunk array (or the caller's own
         array in the per-point path).
         """
         recording = Recording(float(time), np.array(value, dtype=float), kind)
-        self._recordings.append(recording)
+        self._recording_count += 1
         self._pending.append(recording)
         return recording
 

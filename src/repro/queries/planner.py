@@ -16,7 +16,10 @@ block's piece integral, extrema, covered duration and boundary records.
   pieces clipped, exactly as the in-memory path clips;
 * *bridge* pieces between adjacent blocks are rebuilt from the summaries'
   boundary records, so block granularity never changes the answer;
-* live in-flight recordings are treated as one virtual trailing block.
+* live in-flight recordings are treated as one virtual trailing block (a
+  :class:`QueryTail`, whose arrays and summary are built once and shared by
+  every query until the next write); a stream with nothing archived yet is
+  planned over that block alone.
 
 Window sweeps and resample grids are answered in a fixed number of numpy
 passes however many windows or grid points they hold: every window of a
@@ -29,16 +32,18 @@ blocks, one store read per run.
 The composed result matches the decode path (``store.read`` →
 ``reconstruct`` → :func:`~repro.queries.aggregates.range_aggregate`) exactly
 up to float summation order — :data:`TOLERANCE` documents the relative slack
-tests assert under.  Query shapes the fast path cannot prove equivalent
-(streams without summaries — e.g. seed-format catalogs on read-only stores or
-non-block backends — degenerate record patterns, point queries) raise
-:class:`PlannerFallback` internally and are transparently answered by the
-reference decode path, so every store keeps answering correctly.
+tests assert under.  Every stream goes through the plan, however few blocks
+it has.  Query shapes the fast path cannot prove equivalent (streams without
+summaries — e.g. seed-format catalogs on read-only stores or non-block
+backends — degenerate record patterns, resample grids denser than the
+records) raise :class:`PlannerFallback` internally and are transparently
+answered by the reference decode path, so every store keeps answering
+correctly.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -68,7 +73,9 @@ from repro.storage.summaries import (
 __all__ = [
     "TOLERANCE",
     "PlannerFallback",
+    "QueryTail",
     "StreamQueryPlan",
+    "read_with_tail",
     "plan_range_aggregate",
     "plan_window_aggregates",
     "plan_resample",
@@ -80,55 +87,87 @@ __all__ = [
 #: sum), which stays far inside this bound for realistic block counts.
 TOLERANCE = 1e-9
 
-#: Streams with fewer blocks than this answer through the decode path — the
-#: planner's bookkeeping only pays off once summaries let it skip real work.
-MIN_PLANNER_BLOCKS = 4
-
 
 class PlannerFallback(Exception):
     """Internal signal: answer this query via the reference decode path."""
 
 
-def _tail_arrays(
-    tail: Sequence[Recording], dimensions: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    kinds = np.array([RECORD_KINDS[r.kind] for r in tail], dtype=np.uint8)
-    times = np.array([r.time for r in tail], dtype=float)
-    values = np.vstack([np.atleast_1d(np.asarray(r.value, dtype=float)) for r in tail])
-    if values.shape[1] != dimensions:
-        raise PlannerFallback("tail dimensionality mismatch")
-    return kinds, times, values
+class QueryTail:
+    """The live recordings a query merges after a stream's stored log.
+
+    A session builds one per live stream and keeps it until the next write
+    to that stream, so every query in between shares it: the decode paths
+    read :attr:`recordings`, the planner the record arrays and block summary
+    :meth:`block` derives from them on first use.
+    """
+
+    __slots__ = ("recordings", "_block")
+
+    def __init__(self, recordings: Sequence[Recording] = ()) -> None:
+        self.recordings: List[Recording] = list(recordings)
+        self._block: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, dict]] = None
+
+    def __len__(self) -> int:
+        return len(self.recordings)
+
+    def block(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+        """``(kinds, times, values, summary)`` of the tail as one block.
+
+        Built once; the arrays are read-only because every plan over this
+        tail shares them.
+        """
+        if self._block is None:
+            tail = self.recordings
+            kinds = np.array([RECORD_KINDS[r.kind] for r in tail], dtype=np.uint8)
+            times = np.array([r.time for r in tail], dtype=float)
+            values = np.vstack(
+                [np.atleast_1d(np.asarray(r.value, dtype=float)) for r in tail]
+            )
+            for array in (kinds, times, values):
+                array.flags.writeable = False
+            self._block = (kinds, times, values, summarize_block(kinds, times, values))
+        return self._block
+
+
+#: What the ``tail`` arguments accept: a session's cached tail, or plain
+#: recordings (wrapped on the spot).
+TailLike = Union[QueryTail, Sequence[Recording], None]
+
+
+def _as_tail(tail: TailLike) -> QueryTail:
+    return tail if isinstance(tail, QueryTail) else QueryTail(tail or ())
 
 
 class StreamQueryPlan:
-    """Aggregate-query plan for one stored stream (plus optional live tail).
+    """Aggregate-query plan for one stream: its stored blocks plus a live tail.
 
     Holds the stream's block-summary index, a per-block decode cache shared
     by every query answered through the plan (one plan serves a whole
     window sweep or resample grid), and the per-dimension summary and
-    bridge arrays the fast path composes.
+    bridge arrays the fast path composes.  A stream the store does not know
+    yet is planned over its tail alone.
 
     Raises:
         PlannerFallback: When the stream has no usable summary index (seed
             catalogs before backfill, non-summarising backends, empty
             streams) — callers answer via the decode path instead.
-        KeyError: If the stream does not exist.
+        KeyError: If the store does not know the stream and there is no
+            tail.
     """
 
-    def __init__(
-        self,
-        store,
-        name: str,
-        tail: Optional[Sequence[Recording]] = None,
-    ) -> None:
-        entry = store.describe(name)
+    def __init__(self, store, name: str, tail: TailLike = None) -> None:
+        tail = _as_tail(tail)
         self._store = store
         self._name = name
-        self._dimensions = entry.dimensions
-        try:
-            blocks = store.summary_range(name)
-        except (AttributeError, NotImplementedError) as error:
-            raise PlannerFallback(str(error)) from None
+        if name in store or not tail:
+            self._dimensions = store.describe(name).dimensions
+            try:
+                blocks = store.summary_range(name)
+            except (AttributeError, NotImplementedError) as error:
+                raise PlannerFallback(str(error)) from None
+        else:
+            self._dimensions = tail.block()[2].shape[1]
+            blocks = []
         self._summaries: List[dict] = []
         starts: List[float] = []
         ends: List[float] = []
@@ -149,11 +188,13 @@ class StreamQueryPlan:
         #: ``(block index, dimension)`` -> one value column
         self._col_cache: Dict[Tuple[int, int], np.ndarray] = {}
         if tail:
-            kinds, times, values = _tail_arrays(tail, self._dimensions)
+            kinds, times, values, summary = tail.block()
+            if values.shape[1] != self._dimensions:
+                raise PlannerFallback("tail dimensionality mismatch")
             if np.any(np.diff(times) <= 0.0) or (ends and times[0] <= ends[-1]):
                 raise PlannerFallback("live tail is not strictly after the stored log")
             self._decoded[len(counts)] = (kinds, times, values)
-            self._summaries.append(summarize_block(kinds, times, values))
+            self._summaries.append(summary)
             starts.append(float(times[0]))
             ends.append(float(times[-1]))
             counts.append(len(times))
@@ -989,24 +1030,32 @@ def _merge_into(
 
 
 # ---------------------------------------------------------------------- #
-# Reference decode path (fallback + resample)
+# Reference decode path (fallback)
 # ---------------------------------------------------------------------- #
-def _reference_recordings(
+def read_with_tail(
     store,
     name: str,
-    start: Optional[float],
-    end: Optional[float],
-    tail: Optional[Sequence[Recording]],
+    start: Optional[float] = None,
+    end: Optional[float] = None,
+    tail: TailLike = None,
 ) -> List[Recording]:
-    """The record subset the planner models, via a real decode.
+    """The stored range read merged with a live tail, re-subset by range.
 
-    Mirrors ``StreamDB.read``: the stored range read merged with the live
-    tail, re-subset with the store's range semantics.
+    The record subset the planner models, and what ``StreamDB.read``
+    returns for a live stream.  The store's range semantics apply to the
+    merged records: the last recording before ``start`` and the first after
+    ``end`` are kept.  A stream the store does not know reads as its tail
+    alone, so the decode fallback of a live-only stream never reads the
+    store.
+
+    Raises:
+        KeyError: If the store does not know the stream and there is no
+            tail.
     """
-    stored = store.read(name, start, end)
-    if not tail:
-        return stored
-    merged = stored + list(tail)
+    recordings = _as_tail(tail).recordings
+    if not recordings:
+        return store.read(name, start, end)
+    merged = (store.read(name, start, end) if name in store else []) + recordings
     times = np.fromiter((r.time for r in merged), dtype=float, count=len(merged))
     return [merged[index] for index in range_indices(times, start, end)]
 
@@ -1019,18 +1068,6 @@ def _reference_bounds(
     return lo, hi
 
 
-def _build_plan(
-    store,
-    name: str,
-    tail: Optional[Sequence[Recording]],
-    min_blocks: int,
-) -> StreamQueryPlan:
-    plan = StreamQueryPlan(store, name, tail)
-    if plan._real_blocks < min_blocks:
-        raise PlannerFallback("stream too small for summary composition")
-    return plan
-
-
 def plan_range_aggregate(
     store,
     name: str,
@@ -1038,23 +1075,22 @@ def plan_range_aggregate(
     end: Optional[float] = None,
     dimension: int = 0,
     *,
-    tail: Optional[Sequence[Recording]] = None,
-    min_blocks: int = MIN_PLANNER_BLOCKS,
+    tail: TailLike = None,
 ) -> RangeAggregate:
-    """Range aggregate of a stored stream via the block-summary planner.
+    """Range aggregate of a stream via the block-summary planner.
 
     Bounds default to the stream's span (tail included).  Falls back to the
     decode path whenever the summary index cannot answer provably — the
     result is the same either way, within :data:`TOLERANCE`.
     """
     try:
-        plan = _build_plan(store, name, tail, min_blocks)
+        plan = StreamQueryPlan(store, name, tail)
         lo, hi = plan.time_bounds()
         return plan.range_aggregate(
             lo if start is None else start, hi if end is None else end, dimension
         )
     except PlannerFallback:
-        recordings = _reference_recordings(store, name, start, end, tail)
+        recordings = read_with_tail(store, name, start, end, tail)
         approximation = reconstruct(recordings)
         lo, hi = _reference_bounds(recordings, start, end)
         return range_aggregate(approximation, lo, hi, dimension=dimension)
@@ -1069,8 +1105,7 @@ def plan_window_aggregates(
     dimension: int = 0,
     *,
     step: Optional[float] = None,
-    tail: Optional[Sequence[Recording]] = None,
-    min_blocks: int = MIN_PLANNER_BLOCKS,
+    tail: TailLike = None,
 ) -> List[RangeAggregate]:
     """Window aggregates via the planner (decode-path fallback).
 
@@ -1080,7 +1115,7 @@ def plan_window_aggregates(
     composer (:meth:`StreamQueryPlan.window_aggregates`).
     """
     try:
-        plan = _build_plan(store, name, tail, min_blocks)
+        plan = StreamQueryPlan(store, name, tail)
         lo, hi = plan.time_bounds()
         return plan.window_aggregates(
             lo if start is None else start,
@@ -1090,7 +1125,7 @@ def plan_window_aggregates(
             step=step,
         )
     except PlannerFallback:
-        recordings = _reference_recordings(store, name, start, end, tail)
+        recordings = read_with_tail(store, name, start, end, tail)
         approximation = reconstruct(recordings)
         lo, hi = _reference_bounds(recordings, start, end)
         return window_aggregates(
@@ -1105,23 +1140,21 @@ def plan_resample(
     start: Optional[float] = None,
     end: Optional[float] = None,
     *,
-    tail: Optional[Sequence[Recording]] = None,
-    min_blocks: int = MIN_PLANNER_BLOCKS,
+    tail: TailLike = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Resample a stored stream onto a regular grid.
+    """Resample a stream onto a regular grid.
 
-    Sparse grids (fewer points than stored records) resolve all their
-    values at once through the block-summary index — inter-block points
-    interpolate bridges built from boundary records, in-block points decode
-    just their block (see :meth:`StreamQueryPlan.resample`).  Dense grids,
-    and streams the planner cannot prove equivalent, fall back to the
-    reference decode path; the values match within :data:`TOLERANCE` either
-    way.
+    Sparse grids (fewer points than records) resolve all their values at
+    once through the block-summary index — inter-block points interpolate
+    bridges built from boundary records, in-block points decode just their
+    block (see :meth:`StreamQueryPlan.resample`).  Dense grids, and streams
+    the planner cannot prove equivalent, fall back to the reference decode
+    path; the values match within :data:`TOLERANCE` either way.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
     try:
-        plan = _build_plan(store, name, tail, min_blocks)
+        plan = StreamQueryPlan(store, name, tail)
         lo, hi = plan.time_bounds()
         return plan.resample(
             lo if start is None else float(start),
@@ -1129,7 +1162,7 @@ def plan_resample(
             step,
         )
     except PlannerFallback:
-        recordings = _reference_recordings(store, name, start, end, tail)
+        recordings = read_with_tail(store, name, start, end, tail)
         approximation = reconstruct(recordings)
         lo, hi = _reference_bounds(recordings, start, end)
         return resample(approximation, lo, hi, step)

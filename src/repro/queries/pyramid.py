@@ -14,27 +14,27 @@ summaries, and descends only at the two viewport edges — down to a clipped
 level-0 block at most, so a zoom reads O(cells) summaries and decodes at
 most the two blocks the viewport boundaries cut.  Live-tail recordings ride
 along as one virtual trailing cell on every level.  Streams without a
-usable pyramid (non-summarising backends, seed catalogs on read-only
-stores) fall back to uniform bins over the decoded approximation
-(:func:`zoom_cells`), marked ``level = -1``.
+pyramid — those with nothing archived yet, non-summarising backends, seed
+catalogs on read-only stores — get uniform bins over the decoded
+approximation instead (:func:`zoom_cells`), marked ``level = -1``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.approximation.piecewise import Approximation
 from repro.approximation.reconstruct import reconstruct
-from repro.core.types import Recording
 from repro.queries.aggregates import _segments_of, clip_aggregate, window_edges
 from repro.queries.planner import (
     PlannerFallback,
     StreamQueryPlan,
+    TailLike,
     _reference_bounds,
-    _reference_recordings,
+    read_with_tail,
 )
 from repro.storage.summaries import END_CODE, PYRAMID_BASE, bridge_piece
 
@@ -449,10 +449,11 @@ def zoom_cells(
 ) -> List[ZoomCell]:
     """Reference zoom: uniform bins clipped against the decoded pieces.
 
-    The decode-path fallback (and the live-only-stream path): the viewport
-    splits into ``max_points`` equal bins, each aggregating the pieces it
-    overlaps; empty bins (interior gaps) are omitted.  Cells carry
-    ``level = -1`` so callers can tell a fallback answer from a pyramid one.
+    The decode-path fallback (streams without a pyramid, such as those with
+    nothing archived yet): the viewport splits into ``max_points`` equal
+    bins, each aggregating the pieces it overlaps; empty bins (interior
+    gaps) are omitted.  Cells carry ``level = -1`` so callers can tell a
+    fallback answer from a pyramid one.
     """
     if end < start:
         raise ValueError("end must not precede start")
@@ -486,16 +487,16 @@ def plan_zoom(
     *,
     max_points: int = DEFAULT_MAX_POINTS,
     dimension: int = 0,
-    tail: Optional[Sequence[Recording]] = None,
+    tail: TailLike = None,
 ) -> List[ZoomCell]:
-    """Budget-bounded zoom over a stored stream (plus optional live tail).
+    """Budget-bounded zoom over a stream's stored blocks plus a live tail.
 
     Returns at most ``max_points`` :class:`ZoomCell` in time order covering
     ``[start, end]`` (defaults: the stream's span).  Fully-covered interior
     cells come straight from the persisted pyramid — no block is decoded
     except the ≤ 2 the viewport edges cut.  Falls back to
     :func:`zoom_cells` over the decoded approximation when the stream has
-    no usable pyramid.
+    no usable pyramid, which includes a stream with nothing archived yet.
 
     Raises:
         KeyError: If the stream does not exist.
@@ -506,6 +507,8 @@ def plan_zoom(
     if start is not None and end is not None and end < start:
         raise ValueError("end must not precede start")
     try:
+        if name not in store:
+            raise PlannerFallback("stream has nothing archived yet")
         plan = StreamQueryPlan(store, name, tail)
         try:
             pyramid = store.pyramid_levels(name)
@@ -521,7 +524,7 @@ def plan_zoom(
             dimension,
         )
     except PlannerFallback:
-        recordings = _reference_recordings(store, name, start, end, tail)
+        recordings = read_with_tail(store, name, start, end, tail)
         approximation = reconstruct(recordings)
         lo, hi = _reference_bounds(recordings, start, end)
         return zoom_cells(approximation, lo, hi, max_points, dimension)

@@ -80,7 +80,7 @@ class TestLifecycle:
     def test_finish_on_empty_stream(self):
         stream_filter = EchoFilter(1.0)
         assert stream_filter.finish() == []
-        assert stream_filter.result().points_processed == 0
+        assert stream_filter.points_processed == 0
 
     def test_process_accepts_tuples_and_datapoints(self):
         result = EchoFilter(1.0).process([(0.0, 1.0), DataPoint(1.0, 2.0)])
@@ -98,9 +98,7 @@ class TestLifecycle:
     def test_feed_point_equivalent_to_feed(self):
         a = EchoFilter(1.0)
         b = EchoFilter(1.0)
-        a.feed(0.0, 3.0)
-        b.feed_point(DataPoint(0.0, 3.0))
-        assert a.recordings[0].time == b.recordings[0].time
+        assert a.feed(0.0, 3.0)[0].time == b.feed_point(DataPoint(0.0, 3.0))[0].time
 
     def test_points_processed_counts_all(self):
         stream_filter = SwingFilter(10.0)
@@ -108,12 +106,15 @@ class TestLifecycle:
             stream_filter.feed(float(t), 0.0)
         assert stream_filter.points_processed == 10
 
-    def test_recordings_property_is_immutable_copy(self):
+    def test_recording_count_counts_without_keeping(self):
+        """The filter counts what it emits but hands each recording out once."""
         stream_filter = EchoFilter(1.0)
         stream_filter.feed(0.0, 1.0)
-        recordings = stream_filter.recordings
-        assert isinstance(recordings, tuple)
-        assert len(recordings) == 1
+        stream_filter.process_batch([1.0, 2.0], [2.0, 3.0])
+        assert stream_filter.recording_count == 3
+        assert not hasattr(stream_filter, "recordings")
+        state = stream_filter.snapshot()
+        assert stream_filter.restore(state).recording_count == 0
 
 
 def _walk(dimensions, length=90, seed=5):
@@ -123,10 +124,10 @@ def _walk(dimensions, length=90, seed=5):
     return times, values if dimensions > 1 else values[:, 0]
 
 
-def _recording_tuples(stream_filter):
+def _recording_tuples(recordings):
     return [
         (record.time, tuple(float(v) for v in record.value), record.kind)
-        for record in stream_filter.recordings
+        for record in recordings
     ]
 
 
@@ -158,21 +159,21 @@ class TestNonFiniteInput:
     def test_process_batch_rejects_then_continues(self, name, bad, field, dimensions):
         times, values = _walk(dimensions)
         reference = create_filter(name, 0.5)
-        reference.process_batch(times, values)
-        reference.finish()
+        expected = reference.process_batch(times, values) + reference.finish()
         for split in (0, 40):
             stream_filter = create_filter(name, 0.5)
+            recordings = []
             if split:
-                stream_filter.process_batch(times[:split], values[:split])
+                recordings += stream_filter.process_batch(times[:split], values[:split])
             bad_times, bad_values = self._corrupt(
                 times[split : split + 20], values[split : split + 20], 7, field, bad
             )
             with pytest.raises(ValueError, match="index 7"):
                 stream_filter.process_batch(bad_times, bad_values)
             assert stream_filter.points_processed == split
-            stream_filter.process_batch(times[split:], values[split:])
-            stream_filter.finish()
-            assert _recording_tuples(stream_filter) == _recording_tuples(reference)
+            recordings += stream_filter.process_batch(times[split:], values[split:])
+            recordings += stream_filter.finish()
+            assert _recording_tuples(recordings) == _recording_tuples(expected)
 
     @pytest.mark.parametrize("name", sorted(FILTER_REGISTRY))
     @pytest.mark.parametrize("bad", BAD)
@@ -181,10 +182,12 @@ class TestNonFiniteInput:
     def test_feed_rejects_then_continues(self, name, bad, field, dimensions):
         times, values = _walk(dimensions, length=60)
         reference = create_filter(name, 0.5)
+        expected = []
         for t, v in zip(times, values):
-            reference.feed(t, v)
-        reference.finish()
+            expected += reference.feed(t, v)
+        expected += reference.finish()
         stream_filter = create_filter(name, 0.5)
+        recordings = []
         bad_times, bad_values = self._corrupt(times, values, 0, field, bad)
         for index, (t, v) in enumerate(zip(times, values)):
             if index in (0, 30):
@@ -192,7 +195,7 @@ class TestNonFiniteInput:
                 # then mid-stream.
                 with pytest.raises(ValueError, match="must be finite"):
                     stream_filter.feed(bad_times[0], bad_values[0])
-            stream_filter.feed(t, v)
-        stream_filter.finish()
+            recordings += stream_filter.feed(t, v)
+        recordings += stream_filter.finish()
         assert stream_filter.points_processed == len(times)
-        assert _recording_tuples(stream_filter) == _recording_tuples(reference)
+        assert _recording_tuples(recordings) == _recording_tuples(expected)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core.registry import FILTER_REGISTRY, create_filter
+from repro.core.types import FilterResult
 from repro.data.patterns import sine_signal
 from repro.data.random_walk import RandomWalkConfig, random_walk
 
@@ -20,23 +21,20 @@ ALL_FILTERS = sorted(FILTER_REGISTRY)
 
 
 def run_per_point(name, times, values, epsilon, **kwargs):
-    stream_filter = create_filter(name, epsilon, **kwargs)
-    for t, v in zip(times, values):
-        stream_filter.feed(t, v)
-    stream_filter.finish()
-    return stream_filter
+    return create_filter(name, epsilon, **kwargs).process(zip(times, values))
 
 
 def run_batched(name, times, values, epsilon, chunk_size, **kwargs):
     stream_filter = create_filter(name, epsilon, **kwargs)
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
+    recordings = []
     for start in range(0, len(times), chunk_size):
-        stream_filter.process_batch(
+        recordings += stream_filter.process_batch(
             times[start : start + chunk_size], values[start : start + chunk_size]
         )
-    stream_filter.finish()
-    return stream_filter
+    recordings += stream_filter.finish()
+    return FilterResult(recordings, stream_filter.points_processed)
 
 
 def assert_identical_recordings(reference, candidate):
@@ -90,16 +88,21 @@ class TestMixedUsage:
     def test_interleaved_feed_and_batch(self, name, noisy_walk):
         times, values = noisy_walk
         reference = run_per_point(name, times, values, 1.0)
-        candidate = create_filter(name, 1.0)
+        stream_filter = create_filter(name, 1.0)
         cut_one, cut_two = 100, 700
+        recordings = []
         for t, v in zip(times[:cut_one], values[:cut_one]):
-            candidate.feed(t, v)
-        candidate.process_batch(times[cut_one:cut_two], values[cut_one:cut_two])
+            recordings += stream_filter.feed(t, v)
+        recordings += stream_filter.process_batch(
+            times[cut_one:cut_two], values[cut_one:cut_two]
+        )
         for t, v in zip(times[cut_two : cut_two + 50], values[cut_two : cut_two + 50]):
-            candidate.feed(t, v)
-        candidate.process_batch(times[cut_two + 50 :], values[cut_two + 50 :])
-        candidate.finish()
-        assert_identical_recordings(reference, candidate)
+            recordings += stream_filter.feed(t, v)
+        recordings += stream_filter.process_batch(
+            times[cut_two + 50 :], values[cut_two + 50 :]
+        )
+        recordings += stream_filter.finish()
+        assert_identical_recordings(reference, FilterResult(recordings))
 
 
 class TestMaxLagFallback:

@@ -548,12 +548,12 @@ class TestCrossBackendParity:
             assert_identical(col.read("s", a, b), row.read("s", a, b))
             for dimension in range(dimensions):
                 assert_close(
-                    plan_range_aggregate(col, "s", a, b, dimension, min_blocks=0),
-                    plan_range_aggregate(row, "s", a, b, dimension, min_blocks=0),
+                    plan_range_aggregate(col, "s", a, b, dimension),
+                    plan_range_aggregate(row, "s", a, b, dimension),
                 )
         window = (hi - lo) / 13.0
-        got = plan_window_aggregates(col, "s", window, min_blocks=0)
-        ref = plan_window_aggregates(row, "s", window, min_blocks=0)
+        got = plan_window_aggregates(col, "s", window)
+        ref = plan_window_aggregates(row, "s", window)
         assert len(got) == len(ref)
         for g, r in zip(got, ref):
             assert g.start == r.start and g.end == r.end
@@ -591,11 +591,11 @@ class TestCrossBackendParity:
         lo, hi = entry.first_time, entry.last_time
         a, b = lo + 2.0, hi - 0.5
         for dimension in (0, 1):
-            ref = plan_range_aggregate(full, "s", a, b, dimension, min_blocks=0)
+            ref = plan_range_aggregate(full, "s", a, b, dimension)
             for store in (row, col):
                 assert_close(
                     plan_range_aggregate(
-                        store, "s", a, b, dimension, tail=tail, min_blocks=0
+                        store, "s", a, b, dimension, tail=tail
                     ),
                     ref,
                 )
@@ -614,14 +614,14 @@ class TestCrossBackendParity:
         def forbid(*args, **kwargs):  # pragma: no cover - failure path
             raise AssertionError("planner fell back to the decode path")
 
-        monkeypatch.setattr(planner_module, "_reference_recordings", forbid)
+        monkeypatch.setattr(planner_module, "read_with_tail", forbid)
         lo, hi = entry.first_time, entry.last_time
         rng = np.random.default_rng(47)
         for _ in range(20):
             a = rng.uniform(lo, hi - 1.0)
             b = a + rng.uniform(0.5, (hi - lo) / 3)
-            plan_range_aggregate(store, "s", a, b, dimension=1, min_blocks=0)
-        plan_window_aggregates(store, "s", (hi - lo) / 9.0, min_blocks=0)
+            plan_range_aggregate(store, "s", a, b, dimension=1)
+        plan_window_aggregates(store, "s", (hi - lo) / 9.0)
 
     def test_parity_survives_recovery(self, tmp_path):
         """Both backends recover unflushed appends to the same records."""
@@ -637,6 +637,6 @@ class TestCrossBackendParity:
         assert row.backend.name == "block-log" and col.backend.name == "columnar"
         assert_identical(col.read("s"), row.read("s"))
         assert_close(
-            plan_range_aggregate(col, "s", min_blocks=0),
-            plan_range_aggregate(row, "s", min_blocks=0),
+            plan_range_aggregate(col, "s"),
+            plan_range_aggregate(row, "s"),
         )

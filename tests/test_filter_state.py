@@ -32,38 +32,40 @@ def make_stream(seed: int, length: int = 1200, dimensions: int = 1):
     return times, values
 
 
-def recording_tuples(stream_filter):
+def recording_tuples(recordings):
     return [
         (record.time, tuple(float(v) for v in record.value), record.kind)
-        for record in stream_filter.recordings
+        for record in recordings
     ]
 
 
 def run_uninterrupted(name, epsilon, times, values, **kwargs):
     full = create_filter(name, epsilon, **kwargs)
+    recordings = []
     for t, v in zip(times, values):
-        full.feed(t, v)
-    full.finish()
-    return recording_tuples(full)
+        recordings += full.feed(t, v)
+    recordings += full.finish()
+    return recording_tuples(recordings)
 
 
 def run_split(name, epsilon, times, values, split, batch=False, **kwargs):
     """Feed ``[:split]``, snapshot → pickle → restore, feed the rest."""
     first = create_filter(name, epsilon, **kwargs)
+    recordings = []
     if batch and split > 0:
-        first.process_batch(times[:split], values[:split])
+        recordings += first.process_batch(times[:split], values[:split])
     else:
         for t, v in zip(times[:split], values[:split]):
-            first.feed(t, v)
+            recordings += first.feed(t, v)
     state = pickle.loads(pickle.dumps(first.snapshot()))
     second = restore_filter(state)
     if batch and split < len(times):
-        second.process_batch(times[split:], values[split:])
+        recordings += second.process_batch(times[split:], values[split:])
     else:
         for t, v in zip(times[split:], values[split:]):
-            second.feed(t, v)
-    second.finish()
-    return recording_tuples(first) + recording_tuples(second)
+            recordings += second.feed(t, v)
+    recordings += second.finish()
+    return recording_tuples(recordings)
 
 
 class TestSnapshotRoundTrip:
@@ -113,20 +115,22 @@ class TestSnapshotRoundTrip:
         times, values = make_stream(seed=61, length=600)
         reference = run_uninterrupted("slide", 0.4, times, values)
         live = create_filter("slide", 0.4)
+        live_recordings = []
         for t, v in zip(times[:300], values[:300]):
-            live.feed(t, v)
+            live_recordings += live.feed(t, v)
         state = live.snapshot()
         # Keep feeding the live filter; the snapshot must stay frozen.
         for t, v in zip(times[300:], values[300:]):
-            live.feed(t, v)
-        live.finish()
+            live_recordings += live.feed(t, v)
+        live_recordings += live.finish()
         resumed = restore_filter(state)
+        resumed_recordings = []
         for t, v in zip(times[300:], values[300:]):
-            resumed.feed(t, v)
-        resumed.finish()
-        assert recording_tuples(live) == reference
-        prefix = reference[: len(reference) - len(recording_tuples(resumed))]
-        assert prefix + recording_tuples(resumed) == reference
+            resumed_recordings += resumed.feed(t, v)
+        resumed_recordings += resumed.finish()
+        assert recording_tuples(live_recordings) == reference
+        prefix = reference[: len(reference) - len(resumed_recordings)]
+        assert prefix + recording_tuples(resumed_recordings) == reference
 
 
 class TestSnapshotSemantics:
@@ -238,7 +242,7 @@ class TestArrayLayoutSnapshots:
         reference = run_uninterrupted("slide", 0.5, times, values)
         split = 611
         first = SlideFilter(0.5)
-        first.process_batch(times[:split], values[:split])
+        recordings = list(first.process_batch(times[:split], values[:split]))
         state = first.snapshot()
         assert state.payload["_upper"] is not None  # bounds open: mid-interval
         assert state.payload["_prev"].points is not None
@@ -247,9 +251,9 @@ class TestArrayLayoutSnapshots:
         assert state.payload["_prev"].points[1].shape[1] == dimensions
         second = restore_filter(state)
         if batch:
-            second.process_batch(times[split:], values[split:])
+            recordings += second.process_batch(times[split:], values[split:])
         else:
             for t, v in zip(times[split:], values[split:]):
-                second.feed(t, v)
-        second.finish()
-        assert recording_tuples(first) + recording_tuples(second) == reference
+                recordings += second.feed(t, v)
+        recordings += second.finish()
+        assert recording_tuples(recordings) == reference

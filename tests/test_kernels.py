@@ -306,29 +306,28 @@ def reference_batch_class(filter_class):
 
 def run_feed(filter_class, times, values, epsilon, **kwargs):
     instance = filter_class(epsilon, **kwargs)
+    recordings = []
     for t, v in zip(times, values):
-        instance.feed(t, v)
-    instance.finish()
-    return recording_tuples(instance)
+        recordings += instance.feed(t, v)
+    recordings += instance.finish()
+    return recording_tuples(recordings)
 
 
 def run_batched(filter_class, times, values, epsilon, chunk_size, **kwargs):
     instance = filter_class(epsilon, **kwargs)
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
+    recordings = []
     for start in range(0, len(times), chunk_size):
-        instance.process_batch(
+        recordings += instance.process_batch(
             times[start : start + chunk_size], values[start : start + chunk_size]
         )
-    instance.finish()
-    return recording_tuples(instance)
+    recordings += instance.finish()
+    return recording_tuples(recordings)
 
 
-def recording_tuples(stream_filter):
-    return [
-        (r.time, tuple(float(v) for v in r.value), r.kind)
-        for r in stream_filter.recordings
-    ]
+def recording_tuples(recordings):
+    return [(r.time, tuple(float(v) for v in r.value), r.kind) for r in recordings]
 
 
 class TestSlidePathEquivalence:

@@ -84,7 +84,7 @@ class TestPlannerEquivalence:
             except ValueError:
                 ref, ref_error = None, True
             try:
-                got = plan_range_aggregate(store, "s", a, b, min_blocks=0)
+                got = plan_range_aggregate(store, "s", a, b)
                 got_error = None
             except ValueError:
                 got, got_error = None, True
@@ -99,7 +99,7 @@ class TestPlannerEquivalence:
         lo, hi = plan.time_bounds()
         approximation = reconstruct(store.read("s"))
         for window in ((hi - lo) / 7, (hi - lo) / 31, 13.7):
-            got = plan_window_aggregates(store, "s", window, min_blocks=0)
+            got = plan_window_aggregates(store, "s", window)
             ref = window_aggregates(approximation, lo, hi, window)
             assert len(got) == len(ref)
             for g, r in zip(got, ref):
@@ -115,7 +115,7 @@ class TestPlannerEquivalence:
             a, b = float(block[2]), float(block[3])
             if b <= a:
                 continue
-            got = plan_range_aggregate(store, "s", a, b, min_blocks=0)
+            got = plan_range_aggregate(store, "s", a, b)
             assert_close(got, reference_range(store, "s", a, b))
 
     def test_zero_duration_pieces(self, tmp_path):
@@ -141,15 +141,15 @@ class TestPlannerEquivalence:
                 ref = reference_range(store, "s", a, b)
             except ValueError:
                 with pytest.raises(ValueError):
-                    plan_range_aggregate(store, "s", a, b, min_blocks=0)
+                    plan_range_aggregate(store, "s", a, b)
                 continue
-            assert_close(plan_range_aggregate(store, "s", a, b, min_blocks=0), ref)
+            assert_close(plan_range_aggregate(store, "s", a, b), ref)
 
     def test_ranges_fully_outside_span(self, tmp_path):
         store = fill_store(tmp_path, "cache", seed=23)
         lo, hi = StreamQueryPlan(store, "s").time_bounds()
         for a, b in ((lo - 30.0, lo - 5.0), (hi + 5.0, hi + 30.0), (lo - 10.0, hi + 10.0)):
-            got = plan_range_aggregate(store, "s", a, b, min_blocks=0)
+            got = plan_range_aggregate(store, "s", a, b)
             assert_close(got, reference_range(store, "s", a, b))
 
     def test_resample_matches_decode(self, tmp_path):
@@ -175,8 +175,8 @@ class TestPlannerEquivalence:
             a = rng.uniform(lo, hi - 1.0)
             b = a + rng.uniform(1.0, (hi - lo) / 3)
             assert_close(
-                plan_range_aggregate(sharded, "s", a, b, min_blocks=0),
-                plan_range_aggregate(plain, "s", a, b, min_blocks=0),
+                plan_range_aggregate(sharded, "s", a, b),
+                plan_range_aggregate(plain, "s", a, b),
             )
 
 
@@ -203,7 +203,7 @@ class TestResampleComposer:
             a = rng.uniform(lo - 80.0, hi - 50.0)
             b = a + rng.uniform(20.0, (hi - lo) * 1.1)
             step = (b - a) / rng.uniform(5.0, 150.0)
-            got = plan_resample(store, "s", step, a, b, min_blocks=0)
+            got = plan_resample(store, "s", step, a, b)
             self.assert_grid(got, self.reference(store, step, a, b))
 
     def test_probes_on_block_boundaries_and_in_gaps(self, tmp_path):
@@ -239,7 +239,7 @@ class TestResampleComposer:
         ]
         store = synthetic_store(tmp_path, 2, recordings)
         for a, b, step in ((0.0, 2997.0, 24.0), (120.0, 1800.0, 24.0), (-12.0, 3012.0, 6.0)):
-            got = plan_resample(store, "s", step, a, b, min_blocks=0)
+            got = plan_resample(store, "s", step, a, b)
             self.assert_grid(got, self.reference(store, step, a, b))
 
     def test_zero_length_pieces_and_points_past_the_end(self, tmp_path):
@@ -250,14 +250,14 @@ class TestResampleComposer:
         store = synthetic_store(tmp_path, 1, recordings)
         lo, hi = recordings[0].time, recordings[-1].time
         for a, b in ((lo, hi + 50.0), (hi - 300.0, hi + 5.0), (lo - 20.0, lo + 200.0)):
-            got = plan_resample(store, "s", (b - a) / 37, a, b, min_blocks=0)
+            got = plan_resample(store, "s", (b - a) / 37, a, b)
             self.assert_grid(got, self.reference(store, (b - a) / 37, a, b))
 
     def test_hold_stream_from_cache_filter(self, tmp_path):
         store = fill_store(tmp_path, "cache", seed=53)
         lo, hi = StreamQueryPlan(store, "s").time_bounds()
         for a, b in ((lo - 30.0, hi + 30.0), (lo + 100.0, lo + 400.0)):
-            got = plan_resample(store, "s", (b - a) / 61, a, b, min_blocks=0)
+            got = plan_resample(store, "s", (b - a) / 61, a, b)
             self.assert_grid(got, self.reference(store, (b - a) / 61, a, b))
 
     def test_hold_grid_on_record_times(self, tmp_path):
@@ -270,7 +270,7 @@ class TestResampleComposer:
         store = synthetic_store(tmp_path, 1, recordings)
         record_times = {r.time for r in recordings}
         for a, b, step in ((0.0, 3999.0, 9.0), (101.0, 2900.0, 13.0)):
-            got = plan_resample(store, "s", step, a, b, min_blocks=0)
+            got = plan_resample(store, "s", step, a, b)
             assert record_times & set(got[0].tolist())
             self.assert_grid(got, self.reference(store, step, a, b))
 
@@ -284,7 +284,7 @@ class TestResampleComposer:
         lo, hi = recordings[0].time, recordings[-1].time
         for a, b in ((lo, hi), (recordings[split - 30].time, hi + 25.0)):
             got = plan_resample(
-                stored, "s", (b - a) / 41, a, b, tail=recordings[split:], min_blocks=0
+                stored, "s", (b - a) / 41, a, b, tail=recordings[split:]
             )
             self.assert_grid(got, self.reference(full, (b - a) / 41, a, b))
 
@@ -306,14 +306,14 @@ class TestResampleComposer:
             raise AssertionError("resample fell back to the decode path")
 
         monkeypatch.setattr(SegmentStore, "read_block_arrays", counting)
-        monkeypatch.setattr(planner_module, "_reference_recordings", forbid)
+        monkeypatch.setattr(planner_module, "read_with_tail", forbid)
         rng = np.random.default_rng(67)
         for _ in range(25):
             a = rng.uniform(starts[0], ends[-1] - 500.0)
             b = a + rng.uniform(200.0, (ends[-1] - starts[0]) / 2)
             del decodes[:]
             step = (b - a) / rng.uniform(5.0, 20.0)
-            times, _ = plan_resample(store, "s", step, a, b, min_blocks=0)
+            times, _ = plan_resample(store, "s", step, a, b)
             # The block a grid point lands in — for a point between blocks,
             # the next one, whose first piece may answer it; past the end,
             # the last — plus the block holding the subset's last record.
@@ -348,7 +348,7 @@ class TestResampleComposer:
         monkeypatch.setattr(SegmentStore, "read", counting_read)
         for (a, b), step, ref in zip(ranges, steps, refs):
             del planned[:], reads[:]
-            got = plan_resample(store, "s", step, a, b, min_blocks=0)
+            got = plan_resample(store, "s", step, a, b)
             # The planner reads no block; the one range read decodes each once.
             assert planned == []
             assert reads == [(a, b)]
@@ -390,13 +390,13 @@ class TestPlannerStructure:
         def forbid(*args, **kwargs):  # pragma: no cover - failure path
             raise AssertionError("planner fell back to the decode path")
 
-        monkeypatch.setattr(planner_module, "_reference_recordings", forbid)
+        monkeypatch.setattr(planner_module, "read_with_tail", forbid)
         rng = np.random.default_rng(53)
         for _ in range(40):
             a = rng.uniform(lo, hi - 1.0)
             b = a + rng.uniform(0.5, (hi - lo) / 3)
             ref = reference_range(store, "s", a, b)
-            assert_close(plan_range_aggregate(store, "s", a, b, min_blocks=0), ref)
+            assert_close(plan_range_aggregate(store, "s", a, b), ref)
 
     def test_seed_format_catalog_is_backfilled(self, tmp_path):
         """4-element blocks (no summaries) gain them lazily and answer right."""
@@ -415,7 +415,7 @@ class TestPlannerStructure:
         assert all(block[4] is not None for block in blocks)
         a, b = lo + (hi - lo) / 5, hi - (hi - lo) / 5
         assert_close(
-            plan_range_aggregate(reopened, "s", a, b, min_blocks=0),
+            plan_range_aggregate(reopened, "s", a, b),
             reference_range(reopened, "s", a, b),
         )
 
@@ -435,22 +435,25 @@ class TestPlannerStructure:
         # ...and the public entry points answer via the decode path.
         a, b = lo + 3.0, hi - 3.0
         assert_close(
-            plan_range_aggregate(store, "s", a, b, min_blocks=0),
-            reference_range(store, "s", a, b),
-        )
-
-    def test_min_blocks_guard_falls_back(self, tmp_path):
-        """Tiny streams answer via decode (still correct) under the default."""
-        store = SegmentStore(tmp_path / "tiny", block_records=512)
-        store.append("s", make_recordings("slide", seed=67, points=60))
-        store.flush()
-        assert len(store.describe("s").blocks) < 4
-        lo, hi = StreamQueryPlan(store, "s").time_bounds()
-        a, b = lo + 1.0, hi - 1.0
-        assert_close(
             plan_range_aggregate(store, "s", a, b),
             reference_range(store, "s", a, b),
         )
+
+    def test_tiny_stream_answers_through_planner(self, tmp_path, monkeypatch):
+        """A stream of a single block is planned too, matching decode."""
+        store = SegmentStore(tmp_path / "tiny", block_records=512)
+        store.append("s", make_recordings("slide", seed=67, points=60))
+        store.flush()
+        assert len(store.describe("s").blocks) == 1
+        lo, hi = StreamQueryPlan(store, "s").time_bounds()
+        a, b = lo + 1.0, hi - 1.0
+        ref = reference_range(store, "s", a, b)
+
+        def forbid(*args, **kwargs):
+            raise AssertionError("the planner fell back to a decode")
+
+        monkeypatch.setattr("repro.queries.planner.reconstruct", forbid)
+        assert_close(plan_range_aggregate(store, "s", a, b), ref)
 
 
 class TestLiveMerge:
@@ -497,5 +500,5 @@ class TestLiveMerge:
         full.flush()
         lo, hi = StreamQueryPlan(full, "s").time_bounds()
         a, b = lo + 2.0, hi - 0.5
-        got = plan_range_aggregate(store, "s", a, b, tail=tail, min_blocks=0)
+        got = plan_range_aggregate(store, "s", a, b, tail=tail)
         assert_close(got, reference_range(full, "s", a, b))

@@ -106,7 +106,7 @@ class TestRollingParity:
         lo, hi = StreamQueryPlan(store, "s").time_bounds()
         window = (hi - lo) / 37
         step = window * ratio
-        got = plan_window_aggregates(store, "s", window, step=step, min_blocks=0)
+        got = plan_window_aggregates(store, "s", window, step=step)
         ref = window_aggregates(reconstruct(store.read("s")), lo, hi, window, step=step)
         assert len(got) == len(ref)
         for g, r in zip(got, ref):
@@ -123,7 +123,7 @@ class TestRollingParity:
             window = rng.uniform(1.0, (b - a) / 3)
             step = window * rng.uniform(0.1, 2.5)
             got = plan_window_aggregates(
-                store, "s", window, a, b, step=step, min_blocks=0
+                store, "s", window, a, b, step=step
             )
             ref = window_aggregates(
                 reconstruct(store.read("s", a, b)), a, b, window, step=step
@@ -144,8 +144,8 @@ class TestRollingParity:
         def forbid(*args, **kwargs):  # pragma: no cover - failure path
             raise AssertionError("rolling composer fell back to the decode path")
 
-        monkeypatch.setattr(planner_module, "_reference_recordings", forbid)
-        got = plan_window_aggregates(store, "s", 25.0, step=7.0, min_blocks=0)
+        monkeypatch.setattr(planner_module, "read_with_tail", forbid)
+        got = plan_window_aggregates(store, "s", 25.0, step=7.0)
         assert len(got) == len(ref)
         for g, r in zip(got, ref):
             assert_close(g, r)
@@ -158,9 +158,9 @@ class TestRollingParity:
         for target in (plain, sharded):
             target.append("s", recordings)
             target.flush()
-        plain_windows = plan_window_aggregates(plain, "s", 40.0, step=11.0, min_blocks=0)
+        plain_windows = plan_window_aggregates(plain, "s", 40.0, step=11.0)
         sharded_windows = plan_window_aggregates(
-            sharded, "s", 40.0, step=11.0, min_blocks=0
+            sharded, "s", 40.0, step=11.0
         )
         assert len(plain_windows) == len(sharded_windows)
         for g, r in zip(sharded_windows, plain_windows):
@@ -230,7 +230,7 @@ class TestWindowComposer:
             ]
             dimension = int(rng.integers(0, 3))
             got = plan_window_aggregates(
-                store, "s", window, a, b, dimension, step=step, min_blocks=0
+                store, "s", window, a, b, dimension, step=step
             )
             assert_windows(got, reference_windows(store, a, b, window, step, dimension))
 
@@ -240,7 +240,7 @@ class TestWindowComposer:
         lo, hi = recordings[0].time, recordings[-1].time
         for a, b in ((lo - 90.0, lo - 10.0), (hi + 5.0, hi + 70.0), (lo - 40.0, hi + 40.0)):
             for step in (None, 3.0, 17.0):
-                got = plan_window_aggregates(store, "s", 9.0, a, b, step=step, min_blocks=0)
+                got = plan_window_aggregates(store, "s", 9.0, a, b, step=step)
                 assert_windows(got, reference_windows(store, a, b, 9.0, step))
 
     def test_windows_inside_gaps(self, tmp_path):
@@ -255,7 +255,7 @@ class TestWindowComposer:
             for step in (None, 2.0, 7.5):
                 for dimension in (0, 2):
                     got = plan_window_aggregates(
-                        store, "s", 3.0, a, b, dimension, step=step, min_blocks=0
+                        store, "s", 3.0, a, b, dimension, step=step
                     )
                     assert_windows(got, reference_windows(store, a, b, 3.0, step, dimension))
 
@@ -266,10 +266,10 @@ class TestWindowComposer:
         middle = recordings[len(recordings) // 2].time
         for a in (middle, recordings[3].time + 0.3, gap_bounds(recordings)[2][0] + 1.0):
             b = a + 2e-9
-            got = plan_window_aggregates(store, "s", 1e-11, a, b, min_blocks=0)
+            got = plan_window_aggregates(store, "s", 1e-11, a, b)
             assert any(g.start == g.end for g in got)
             assert_windows(got, reference_windows(store, a, b, 1e-11))
-            got = plan_window_aggregates(store, "s", 3e-10, a, b, step=1e-11, min_blocks=0)
+            got = plan_window_aggregates(store, "s", 3e-10, a, b, step=1e-11)
             assert_windows(got, reference_windows(store, a, b, 3e-10, 1e-11))
 
     def test_narrow_windows_at_the_end_of_a_long_stream(self, tmp_path):
@@ -286,7 +286,7 @@ class TestWindowComposer:
         store = synthetic_store(tmp_path, 1, recordings)
         a, b = 1e9 + 500.0, 1e9 + 1500.0
         for step in (None, 4.0):
-            got = plan_window_aggregates(store, "s", 10.0, a, b, step=step, min_blocks=0)
+            got = plan_window_aggregates(store, "s", 10.0, a, b, step=step)
             assert_windows(got, reference_windows(store, a, b, 10.0, step))
 
     @pytest.mark.parametrize("step", [None, 2.0, 40.0])
@@ -294,7 +294,7 @@ class TestWindowComposer:
         store = fill_store(tmp_path, "cache", seed=17)
         lo, hi = StreamQueryPlan(store, "s").time_bounds()
         for a, b in ((lo - 30.0, hi + 30.0), (lo + 100.0, lo + 400.0)):
-            got = plan_window_aggregates(store, "s", 13.0, a, b, step=step, min_blocks=0)
+            got = plan_window_aggregates(store, "s", 13.0, a, b, step=step)
             assert_windows(got, reference_windows(store, a, b, 13.0, step))
 
     def test_live_tail_is_the_trailing_block(self, tmp_path):
@@ -310,7 +310,7 @@ class TestWindowComposer:
             for step in (None, 1.5, 9.0):
                 for dimension in (0, 1):
                     got = plan_window_aggregates(
-                        store, "s", 6.0, a, b, dimension, step=step, tail=tail, min_blocks=0
+                        store, "s", 6.0, a, b, dimension, step=step, tail=tail
                     )
                     assert_windows(got, reference_windows(full, a, b, 6.0, step, dimension))
 
@@ -335,7 +335,7 @@ class TestWindowComposer:
             window = (b - a) / rng.uniform(3.0, 30.0)
             step = window * rng.choice([0.25, 1.0, 2.5])
             del decodes[:]
-            plan_window_aggregates(store, "s", window, a, b, step=step, min_blocks=0)
+            plan_window_aggregates(store, "s", window, a, b, step=step)
             # The outer bounds join the window edges: with hops longer than
             # the window no edge need reach ``b``, yet the subset is cut there.
             edges = np.concatenate((*rolling_edges(a, b, window, step), [a, b]))

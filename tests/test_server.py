@@ -789,7 +789,48 @@ def valid_answers(db, stream):
     )
 
 
+#: Queries with no recording to answer from: ``ghost`` is unknown, ``empty``
+#: is live but has seen no point.
+EMPTY_STREAM_QUERIES = [
+    ("aggregate", {}),
+    ("aggregate", {"window": 10.0, "step": 5.0}),
+    ("zoom", {}),
+    ("resample", {"step": 1.0}),
+    ("crossings", {"threshold": 0.0}),
+]
+
+
 class TestQueryArguments:
+    def test_in_process_streams_without_recordings(self, tmp_path):
+        with query_argument_session(tmp_path / "store") as db:
+            db.append("empty", [], [])
+            for op, params in EMPTY_STREAM_QUERIES + [("query", {})]:
+                with pytest.raises(KeyError, match="unknown stream"):
+                    getattr(db, op)("ghost", **params)
+                with pytest.raises(ValueError, match="no recordings"):
+                    getattr(db, op)("empty", **params)
+            assert db.read("empty") == []
+
+    def test_served_streams_without_recordings(self, tmp_path):
+        db = query_argument_session(tmp_path / "store")
+        db.append("empty", [], [])
+
+        async def run():
+            async with StreamDBServer(db, port=0) as server:
+                client = await AsyncStreamClient.connect("127.0.0.1", server.port)
+                codes = []
+                for stream in ("ghost", "empty"):
+                    for op, params in EMPTY_STREAM_QUERIES:
+                        with pytest.raises(ServerError) as rejected:
+                            await getattr(client, op)(stream, **params)
+                        codes.append((stream, op, rejected.value.code))
+                await client.close()
+                return codes
+
+        expected = {"ghost": "unknown_stream", "empty": "bad_request"}
+        for stream, op, code in asyncio.run(run()):
+            assert code == expected[stream], (stream, op)
+
     def test_in_process(self, tmp_path):
         with query_argument_session(tmp_path / "store") as db:
             for stream in QUERY_STREAMS:

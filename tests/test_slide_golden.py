@@ -36,16 +36,19 @@ PATHS = ["feed", 1, 7, 2000]
 
 def run_slide(times, values, epsilon, path):
     slide = SlideFilter(epsilon)
+    recordings = []
     if path == "feed":
         for t, v in zip(times, values):
-            slide.feed(t, v)
+            recordings += slide.feed(t, v)
     else:
         times = np.asarray(times, dtype=float)
         values = np.asarray(values, dtype=float)
         for start in range(0, len(times), path):
-            slide.process_batch(times[start : start + path], values[start : start + path])
-    slide.finish()
-    return slide.recordings
+            recordings += slide.process_batch(
+                times[start : start + path], values[start : start + path]
+            )
+    recordings += slide.finish()
+    return recordings
 
 
 def as_literals(recordings):
