@@ -29,6 +29,15 @@ grid time is located with one ``searchsorted`` over the piece ends of its
 record subset.  The blocks a query needs are read in runs of consecutive
 blocks, one store read per run.
 
+A stream's stored blocks do not change between writes, so neither does
+anything derived from them alone: the stored index (summaries, bounds,
+offsets, boundary records, bridges, per-dimension atoms), the decoded
+blocks and their paired pieces are kept across queries in the process-wide
+plan cache (:mod:`repro.queries.plan_cache`), keyed by the store's stamp
+for the stream, which every change to the stream's catalog entry renews.
+A plan is that cached index with the live tail appended, plus the blocks
+one query touches.
+
 The composed result matches the decode path (``store.read`` →
 ``reconstruct`` → :func:`~repro.queries.aggregates.range_aggregate`) exactly
 up to float summation order — :data:`TOLERANCE` documents the relative slack
@@ -43,12 +52,15 @@ correctly.
 
 from __future__ import annotations
 
+import sys
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.approximation.reconstruct import reconstruct
 from repro.core.types import Recording
+from repro.queries import plan_cache
 from repro.queries.aggregates import (
     RangeAggregate,
     clip_aggregate,
@@ -65,6 +77,7 @@ from repro.storage.summaries import (
     HOLD_CODE,
     START_CODE,
     block_summary,
+    bridge_piece,
     join_pieces,
     pair_pieces,
     summarize_block,
@@ -138,14 +151,170 @@ def _as_tail(tail: TailLike) -> QueryTail:
     return tail if isinstance(tail, QueryTail) else QueryTail(tail or ())
 
 
-class StreamQueryPlan:
-    """Aggregate-query plan for one stream: its stored blocks plus a live tail.
+class _StoredIndex:
+    """What plans derive from a stream's stored blocks alone.
 
-    Holds the stream's block-summary index, a per-block decode cache shared
-    by every query answered through the plan (one plan serves a whole
-    window sweep or resample grid), and the per-dimension summary and
-    bridge arrays the fast path composes.  A stream the store does not know
-    yet is planned over its tail alone.
+    The block summaries with their time bounds and record offsets, the
+    blocks' boundary records, the bridge pieces between adjacent blocks,
+    each block's pre-aggregated statistics (:func:`_block_stats`) and, per
+    dimension, the atoms a window sweep composes (:func:`_atoms_of`).  Built
+    once per stream stamp (:func:`_stored_index`) and shared, read-only, by
+    every plan over that version of the stream.  A stream the store does not
+    know yet has an empty index.
+
+    Raises:
+        PlannerFallback: When a block has no summary.
+    """
+
+    def __init__(self, dimensions: int, blocks: Sequence[list]) -> None:
+        summaries = [block_summary(block) for block in blocks]
+        if any(summary is None for summary in summaries):
+            raise PlannerFallback("stream has blocks without summaries")
+        count = len(summaries)
+        self.dimensions = dimensions
+        self.summaries: List[dict] = summaries
+        self.starts = np.array([float(block[2]) for block in blocks])
+        self.ends = np.array([float(block[3]) for block in blocks])
+        self.offsets = np.concatenate(
+            ([0], np.cumsum([int(block[1]) for block in blocks], dtype=np.int64))
+        )
+        #: Every block's first and last record, ``[kind, v...]`` rows each.
+        self.boundary = np.array(
+            [s["first"] + s["last"] for s in summaries], dtype=float
+        ).reshape(count, 2, 1 + dimensions)
+        self.kinds = frozenset(self.boundary[:, :, 0].ravel().tolist())
+        self.stats = _block_stats(summaries, dimensions)
+        left, right = self.boundary[:-1, 1], self.boundary[1:, 0]
+        #: Bridge pieces between adjacent blocks, all dimensions.
+        self.bridges = join_pieces(
+            left[:, 0], self.ends[:-1], left[:, 1:], right[:, 0], self.starts[1:], right[:, 1:]
+        )
+        self.atoms = [
+            _atoms_of(self.stats, self.bridges, self.boundary[-1, 1], self.ends[-1], dimension)
+            for dimension in (range(dimensions) if count else ())
+        ]
+
+    def arrays(self) -> List[np.ndarray]:
+        """Every array the index holds (what the plan cache charges it for)."""
+        arrays = [self.starts, self.ends, self.offsets, self.boundary, self.stats]
+        arrays += self.bridges
+        for atoms in self.atoms:
+            arrays += [value for value in atoms.values() if isinstance(value, np.ndarray)]
+            arrays += atoms["pieces"]
+        return arrays
+
+
+def _summaries_bytes(summaries: Sequence[dict]) -> int:
+    """Bytes of summary dicts, sized from the first with pieces (they share its shape)."""
+    sample = next((s for s in summaries if s.get("span") is not None), None)
+    if sample is None:
+        return 0
+    size = sys.getsizeof(sample)
+    for value in sample.values():
+        size += sys.getsizeof(value)
+        if isinstance(value, list):
+            size += sum(sys.getsizeof(item) for item in value)
+    return size * len(summaries)
+
+
+def _stored_index(store, name: str) -> Tuple[int, _StoredIndex]:
+    """``name``'s stored index, and the stamp it is cached under.
+
+    Looked up in the plan cache by the stream's stamp; built from the
+    store's block-summary index on a miss.  Reading that index may backfill
+    summaries, which renews the stamp, so the new index is cached under the
+    stamp read afterwards.
+
+    Raises:
+        KeyError: If the store does not know the stream.
+        PlannerFallback: If the store keeps no block summaries.
+    """
+    stamp = store.stamp(name)
+    index = plan_cache.PLAN_CACHE.get((stamp, "index"))
+    if index is not None:
+        return stamp, index
+    dimensions = store.describe(name).dimensions
+    try:
+        blocks = store.summary_range(name)
+    except (AttributeError, NotImplementedError) as error:
+        raise PlannerFallback(str(error)) from None
+    index = _StoredIndex(dimensions, blocks)
+    stamp = store.stamp(name)
+    plan_cache.PLAN_CACHE.put(
+        (stamp, "index"), index, index.arrays(), _summaries_bytes(index.summaries)
+    )
+    return stamp, index
+
+
+def _block_stats(summaries: Sequence[dict], dimensions: int) -> np.ndarray:
+    """Per block ``[span0, span1, covered, integral..., min..., max...]``.
+
+    Span, minima and maxima are NaN for a block without pieces.
+    """
+    missing = [float("nan")] * dimensions
+    rows = [
+        (s["span"] or missing[:1] * 2)
+        + [s["covered"]]
+        + s["integral"]
+        + (s["min"] or missing)
+        + (s["max"] or missing)
+        for s in summaries
+    ]
+    return np.array(rows, dtype=float).reshape(len(summaries), 3 + 3 * dimensions)
+
+
+def _atoms_of(
+    stats: np.ndarray,
+    bridges: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    final: np.ndarray,
+    end: float,
+    dimension: int,
+) -> dict:
+    """One dimension's summary and bridge atoms.
+
+    Summary atoms are the blocks' piece spans with their pre-aggregated
+    integral, coverage and extrema, in block order (``block`` maps each to
+    its block index), from the :func:`_block_stats` rows ``stats``.
+    ``pieces`` holds the bridge atoms: the ``bridges`` between adjacent
+    blocks plus the stream-final zero-length piece when the ``final``
+    record (``[kind, v...]`` at time ``end``) is a ``START``/``HOLD``.
+    Together the atoms partition the stream's pieces, with disjoint
+    interiors.
+    """
+    dimensions = (stats.shape[1] - 3) // 3
+    pieces = ~np.isnan(stats[:, 0])
+    rows = stats[pieces]
+    bt0, bx0, bt1, bx1 = bridges
+    bx0, bx1 = bx0[:, dimension], bx1[:, dimension]
+    if int(final[0]) in (START_CODE, HOLD_CODE):
+        end, value = float(end), float(final[1 + dimension])
+        bt0, bt1 = np.append(bt0, end), np.append(bt1, end)
+        bx0, bx1 = np.append(bx0, value), np.append(bx1, value)
+    return {
+        "block": np.flatnonzero(pieces),
+        "span0": rows[:, 0],
+        "span1": rows[:, 1],
+        "covered": rows[:, 2],
+        "integral": rows[:, 3 + dimension],
+        "min": rows[:, 3 + dimensions + dimension],
+        "max": rows[:, 3 + 2 * dimensions + dimension],
+        "pieces": (bt0, bx0, bt1, bx1),
+    }
+
+
+class StreamQueryPlan:
+    """Aggregate-query plan for one stream: its stored index plus a live tail.
+
+    The stream's stored index (:class:`_StoredIndex`), its decoded blocks
+    and their paired pieces are derived once per version of the stream and
+    kept in the process-wide plan cache (:mod:`repro.queries.plan_cache`)
+    under the store's stamp for it, so a stream that has not changed is not
+    re-derived query after query.  The plan itself is one query's working
+    state: that index with the live tail (a :class:`QueryTail`) appended as
+    a virtual trailing block, and the blocks this query touched, held until
+    it ends whatever the cache evicts meanwhile (one plan serves a whole
+    window sweep or resample grid).  A stream the store does not know yet is
+    planned over its tail alone.
 
     Raises:
         PlannerFallback: When the stream has no usable summary index (seed
@@ -160,69 +329,80 @@ class StreamQueryPlan:
         self._store = store
         self._name = name
         if name in store or not tail:
-            self._dimensions = store.describe(name).dimensions
-            try:
-                blocks = store.summary_range(name)
-            except (AttributeError, NotImplementedError) as error:
-                raise PlannerFallback(str(error)) from None
+            self._stamp, index = _stored_index(store, name)
         else:
-            self._dimensions = tail.block()[2].shape[1]
-            blocks = []
-        self._summaries: List[dict] = []
-        starts: List[float] = []
-        ends: List[float] = []
-        counts: List[int] = []
-        for block in blocks:
-            summary = block_summary(block)
-            if summary is None:
-                raise PlannerFallback("stream has blocks without summaries")
-            self._summaries.append(summary)
-            starts.append(float(block[2]))
-            ends.append(float(block[3]))
-            counts.append(int(block[1]))
-        self._real_blocks = len(blocks)
-        #: block index -> decoded ``(kinds, times, values)`` (all columns)
-        self._decoded: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        #: block index -> ``(kinds, times)`` only (column-pruned fetch)
-        self._kt_cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        #: ``(block index, dimension)`` -> one value column
-        self._col_cache: Dict[Tuple[int, int], np.ndarray] = {}
+            self._stamp, index = None, _StoredIndex(tail.block()[2].shape[1], [])
+        self._index = index
+        self._dimensions = index.dimensions
+        self._real_blocks = len(index.summaries)
+        #: ``(block, part, dimension)`` -> decoded arrays or paired pieces
+        #: this query used: ``"rows"`` (all columns), ``"kt"`` (kinds and
+        #: times), ``"col"`` (one value column) or ``"pieces"``.
+        self._local: Dict[tuple, object] = {}
+        self._tail_summary: Optional[dict] = None
+        self._summaries = index.summaries
+        self._starts, self._ends = index.starts, index.ends
+        self._offsets, self._boundary = index.offsets, index.boundary
+        self._atoms_cache: Dict[int, dict] = dict(enumerate(index.atoms))
+        kinds = index.kinds
         if tail:
-            kinds, times, values, summary = tail.block()
-            if values.shape[1] != self._dimensions:
-                raise PlannerFallback("tail dimensionality mismatch")
-            if np.any(np.diff(times) <= 0.0) or (ends and times[0] <= ends[-1]):
-                raise PlannerFallback("live tail is not strictly after the stored log")
-            self._decoded[len(counts)] = (kinds, times, values)
-            self._summaries.append(summary)
-            starts.append(float(times[0]))
-            ends.append(float(times[-1]))
-            counts.append(len(times))
-        if not counts:
+            kinds = kinds | self._append_tail(tail)
+        if not self._summaries:
             raise PlannerFallback("stream has no records")
-        #: Every block's first and last record, ``[kind, v...]`` rows each.
-        self._boundary = np.array(
-            [s["first"] + s["last"] for s in self._summaries], dtype=float
-        ).reshape(len(self._summaries), 2, 1 + self._dimensions)
-        boundary_kinds = set(self._boundary[:, :, 0].ravel().tolist())
-        if HOLD_CODE in boundary_kinds and len(boundary_kinds) > 1:
+        if HOLD_CODE in kinds and len(kinds) > 1:
             # Mixed HOLD/segment records cannot reconstruct; let the decode
             # path raise the reference ValueError.
             raise PlannerFallback("stream mixes HOLD and segment records")
-        self._hold_stream = boundary_kinds == {HOLD_CODE}
-        self._starts = np.asarray(starts)
-        self._ends = np.asarray(ends)
-        self._offsets = np.concatenate([[0], np.cumsum(counts)])
+        self._hold_stream = kinds == {HOLD_CODE}
         self._record_count = int(self._offsets[-1])
-        self._bridge_cache: Optional[
-            Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-        ] = None
-        #: ``(block index, dimension)`` -> paired piece endpoint arrays
-        #: (``t0, x0, t1, x1``, the x's one column) of the decoded block
-        self._pieces_cache: Dict[
-            Tuple[int, int], Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-        ] = {}
-        self._atoms_cache: Dict[int, dict] = {}
+
+    def _append_tail(self, tail: QueryTail) -> frozenset:
+        """Append ``tail`` as a block after the stored ones; returns its boundary kinds.
+
+        Only what every query reads is appended here; the block statistics
+        and bridges follow on first use (:attr:`_stats`, :attr:`_bridges`).
+        """
+        index = self._index
+        kinds, times, values, summary = tail.block()
+        if values.shape[1] != self._dimensions:
+            raise PlannerFallback("tail dimensionality mismatch")
+        if np.any(np.diff(times) <= 0.0) or (self._real_blocks and times[0] <= index.ends[-1]):
+            raise PlannerFallback("live tail is not strictly after the stored log")
+        self._local[(self._real_blocks, "rows", None)] = (kinds, times, values)
+        self._tail_summary = summary
+        self._summaries = index.summaries + [summary]
+        self._starts = np.concatenate((index.starts, times[:1]))
+        self._ends = np.concatenate((index.ends, times[-1:]))
+        self._offsets = np.append(index.offsets, index.offsets[-1] + times.shape[0])
+        edge = np.array(summary["first"] + summary["last"], dtype=float)
+        self._boundary = np.concatenate(
+            (index.boundary, edge.reshape(1, 2, 1 + self._dimensions))
+        )
+        self._atoms_cache = {}
+        return frozenset((summary["first"][0], summary["last"][0]))
+
+    @cached_property
+    def _stats(self) -> np.ndarray:
+        """Every block's :func:`_block_stats` row, the tail's included."""
+        if self._tail_summary is None:
+            return self._index.stats
+        row = _block_stats([self._tail_summary], self._dimensions)
+        return np.concatenate((self._index.stats, row))
+
+    @cached_property
+    def _bridges(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Bridge pieces between adjacent blocks, all dimensions, the tail's included."""
+        index = self._index
+        if self._tail_summary is None or not self._real_blocks:
+            return index.bridges
+        piece = bridge_piece(
+            index.summaries[-1]["last"], index.ends[-1], self._tail_summary["first"], self._starts[-1]
+        )
+        if piece is None:
+            return index.bridges
+        t0, x0, t1, x1 = piece
+        bt0, bx0, bt1, bx1 = index.bridges
+        return np.append(bt0, t0), np.vstack((bx0, x0)), np.append(bt1, t1), np.vstack((bx1, x1))
 
     # ------------------------------------------------------------------ #
     # Stream geometry
@@ -237,16 +417,30 @@ class StreamQueryPlan:
         return float(self._starts[0]), float(self._ends[-1])
 
     # ------------------------------------------------------------------ #
-    # Record access (block decode cache)
+    # Record access (this query's blocks, then the shared cache)
     # ------------------------------------------------------------------ #
+    def _cached(self, key: tuple):
+        """A block's arrays under ``key``: this query's, else the plan cache's."""
+        value = self._local.get(key)
+        if value is None and key[0] < self._real_blocks:
+            value = plan_cache.PLAN_CACHE.get((self._stamp,) + key)
+            if value is not None:
+                self._local[key] = value
+        return value
+
+    def _keep(self, key: tuple, value, arrays: Sequence[np.ndarray]) -> None:
+        """Hold a block's arrays for this query and, if stored, in the plan cache."""
+        self._local[key] = value
+        if key[0] < self._real_blocks:
+            plan_cache.PLAN_CACHE.put((self._stamp,) + key, value, arrays)
+
     def _decode(self, index: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        cached = self._decoded.get(index)
-        if cached is not None:
-            return cached
-        decoded = self._fetch(index, index + 1, None)
-        values = decoded[2].reshape(len(decoded[1]), self._dimensions)
-        decoded = (decoded[0], decoded[1], values)
-        self._decoded[index] = decoded
+        key = (index, "rows", None)
+        decoded = self._cached(key)
+        if decoded is None:
+            kinds, times, values = self._fetch(index, index + 1, None)
+            decoded = (kinds, times, values.reshape(len(times), self._dimensions))
+            self._keep(key, decoded, decoded)
         return decoded
 
     def _fetch(
@@ -273,14 +467,16 @@ class StreamQueryPlan:
         """Load ``blocks`` for :meth:`_block_records`, one store read per run.
 
         A store read costs several block decodes in fixed overhead, so the
-        blocks a query is known to need are fetched as runs of consecutive
-        indices and split into the per-block caches — whole records, or on
-        wide streams just the kinds, times and the one requested column.
+        blocks a query is known to need and nobody holds yet are fetched as
+        runs of consecutive indices and split per block — whole records, or
+        on wide streams just the kinds, times and the one requested column.
         """
         full = dimension is None or self._dimensions == 1
         runs: List[List[int]] = []
         for block in sorted({int(block) for block in blocks}):
-            if block in self._decoded or (not full and (block, dimension) in self._col_cache):
+            if self._cached((block, "rows", None)) is not None or (
+                not full and self._cached((block, "col", dimension)) is not None
+            ):
                 continue
             if runs and runs[-1][1] == block:
                 runs[-1][1] = block + 1
@@ -293,44 +489,45 @@ class StreamQueryPlan:
             for block in range(lo, hi):
                 a, b = int(self._offsets[block]) - base, int(self._offsets[block + 1]) - base
                 if full:
-                    self._decoded[block] = (kinds[a:b], times[a:b], values[a:b])
+                    rows = (kinds[a:b], times[a:b], values[a:b])
+                    self._keep((block, "rows", None), rows, rows)
                 else:
-                    self._kt_cache[block] = (kinds[a:b], times[a:b])
-                    self._col_cache[(block, dimension)] = values[a:b, 0]
+                    kt, column = (kinds[a:b], times[a:b]), values[a:b, 0]
+                    self._keep((block, "kt", None), kt, kt)
+                    self._keep((block, "col", dimension), column, (column,))
 
     def _kt(self, index: int) -> Tuple[np.ndarray, np.ndarray]:
         """One block's ``(kinds, times)`` without touching its value columns.
 
-        1-dimensional streams go through the full decode cache — pruning a
-        single column saves nothing and the full block serves later value
-        probes.
+        1-dimensional streams go through the full decode — pruning a single
+        column saves nothing and the full block serves later value probes.
         """
-        cached = self._decoded.get(index)
-        if cached is not None:
-            return cached[0], cached[1]
-        if self._dimensions == 1:
+        decoded = self._cached((index, "rows", None))
+        if decoded is None and self._dimensions == 1:
             decoded = self._decode(index)
+        if decoded is not None:
             return decoded[0], decoded[1]
-        kt = self._kt_cache.get(index)
+        key = (index, "kt", None)
+        kt = self._cached(key)
         if kt is None:
             kinds, times, _ = self._fetch(index, index + 1, ())
             kt = (kinds, times)
-            self._kt_cache[index] = kt
+            self._keep(key, kt, kt)
         return kt
 
     def _column(self, index: int, dimension: int) -> np.ndarray:
         """One block's single value column (pruned fetch on wide streams)."""
-        cached = self._decoded.get(index)
-        if cached is not None:
-            return cached[2][:, dimension]
-        if self._dimensions == 1:
-            return self._decode(index)[2][:, dimension]
-        key = (index, dimension)
-        column = self._col_cache.get(key)
+        decoded = self._cached((index, "rows", None))
+        if decoded is None and self._dimensions == 1:
+            decoded = self._decode(index)
+        if decoded is not None:
+            return decoded[2][:, dimension]
+        key = (index, "col", dimension)
+        column = self._cached(key)
         if column is None:
             _, _, values = self._fetch(index, index + 1, (dimension,))
             column = values[:, 0]
-            self._col_cache[key] = column
+            self._keep(key, column, (column,))
         return column
 
     def _block_records(
@@ -367,7 +564,6 @@ class StreamQueryPlan:
         if dimension is not None:
             values = values[dimension : dimension + 1]
         return int(record[0]), float(time), values
-
     def _record_scalar(self, index: int, dimension: int) -> Tuple[int, float, float]:
         """:meth:`_record_row` for one dimension, as plain floats."""
         kind, time, values = self._record_row(index, dimension)
@@ -439,117 +635,63 @@ class StreamQueryPlan:
         return t0, v0, time, value
 
     # ------------------------------------------------------------------ #
-    # Bridges and summary atoms
+    # Summary atoms and pieces
     # ------------------------------------------------------------------ #
-    def _bridge_pairs(self, dimension: Optional[int]) -> Tuple[tuple, tuple]:
-        """``(left, right)`` record triples ``(kinds, times, values)``.
-
-        The records on each side of every block boundary: the pairs that
-        form the bridge pieces, with one value column or all of them.
-        """
-        columns = slice(None) if dimension is None else slice(dimension, dimension + 1)
-        first, last = self._boundary[1:, 0], self._boundary[:-1, 1]
-        return (
-            (last[:, 0], self._ends[:-1], last[:, 1:][:, columns]),
-            (first[:, 0], self._starts[1:], first[:, 1:][:, columns]),
-        )
-
-    def _bridges(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Bridge pieces between adjacent blocks, all dimensions (cached)."""
-        if self._bridge_cache is None:
-            self._bridge_cache = self._pieces((), None, bridges=True)
-        return self._bridge_cache
-
     def _atoms(self, dimension: int) -> dict:
-        """One dimension's summary and bridge atoms (cached).
+        """One dimension's summary and bridge atoms (see :func:`_atoms_of`).
 
-        Summary atoms are the blocks' piece spans with their pre-aggregated
-        integral, coverage and extrema, in block order (``block`` maps each
-        to its block index).  ``pieces`` holds the bridge atoms: the bridge
-        pieces between adjacent blocks plus the stream-final zero-length
-        piece of a trailing ``START``/``HOLD`` record.  Together the atoms
-        partition the stream's pieces, with disjoint interiors.
+        The stored index holds them for a plan without a tail; a live tail
+        adds its block, the bridge into it and its final record.
         """
-        cached = self._atoms_cache.get(dimension)
-        if cached is not None:
-            return cached
-        if not 0 <= dimension < self._dimensions:
-            raise PlannerFallback(f"dimension {dimension} out of range")
-        rows = np.array(
-            [
-                (
-                    index,
-                    summary["span"][0],
-                    summary["span"][1],
-                    summary["covered"],
-                    summary["integral"][dimension],
-                    summary["min"][dimension],
-                    summary["max"][dimension],
-                )
-                for index, summary in enumerate(self._summaries)
-                if summary.get("span") is not None
-            ],
-            dtype=float,
-        ).reshape(-1, 7)
-        bt0, bx0, bt1, bx1 = self._bridges()
-        bx0, bx1 = bx0[:, dimension], bx1[:, dimension]
-        final = self._summaries[-1]["last"]
-        if int(final[0]) in (START_CODE, HOLD_CODE):
-            end, value = float(self._ends[-1]), float(final[1 + dimension])
-            bt0, bt1 = np.append(bt0, end), np.append(bt1, end)
-            bx0, bx1 = np.append(bx0, value), np.append(bx1, value)
-        cached = {
-            "block": rows[:, 0].astype(np.intp),
-            "span0": rows[:, 1],
-            "span1": rows[:, 2],
-            "covered": rows[:, 3],
-            "integral": rows[:, 4],
-            "min": rows[:, 5],
-            "max": rows[:, 6],
-            "pieces": (bt0, bx0, bt1, bx1),
-        }
-        self._atoms_cache[dimension] = cached
-        return cached
+        atoms = self._atoms_cache.get(dimension)
+        if atoms is None:
+            if not 0 <= dimension < self._dimensions:
+                raise PlannerFallback(f"dimension {dimension} out of range")
+            atoms = _atoms_of(
+                self._stats, self._bridges, self._boundary[-1, 1], self._ends[-1], dimension
+            )
+            self._atoms_cache[dimension] = atoms
+        return atoms
 
     def _pieces(
         self, blocks: Sequence[int], dimension: Optional[int], bridges: bool = False
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The pieces between consecutive records of ``blocks``, in one pass.
+        """The pieces between consecutive records of ``blocks``.
 
-        ``x0``/``x1`` have shape ``(pieces, columns)``.  Records pair only
-        within their own block; ``bridges`` adds the bridge piece at every
-        block boundary, built from the summaries' boundary records.  All
-        pairs go through one :func:`~repro.storage.summaries.join_pieces`
-        call, so the pieces come out block by block, bridges last.  Pairing
-        depends only on kinds and times, so a single-dimension request
-        pairs pruned one-column fetches — a wide columnar stream never reads
-        the untouched columns.
+        ``x0``/``x1`` have shape ``(pieces, columns)``: all columns for
+        ``dimension=None``, else that one.  Records pair only within their
+        own block (:meth:`_block_pieces`); ``bridges`` adds the bridge piece
+        at every block boundary, so the pieces come out block by block,
+        bridges last.  Pairing depends only on kinds and times, so a
+        single-dimension request pairs pruned one-column fetches — a wide
+        columnar stream never reads the untouched columns.
         """
-        records = [self._block_records(int(block), dimension) for block in blocks]
-        left = [(kinds[:-1], times[:-1], values[:-1]) for kinds, times, values in records]
-        right = [(kinds[1:], times[1:], values[1:]) for kinds, times, values in records]
+        parts = [self._block_pieces(int(block), dimension) for block in blocks]
         if bridges:
-            pairs = self._bridge_pairs(dimension)
-            left.append(pairs[0])
-            right.append(pairs[1])
-        if not left:
+            t0, x0, t1, x1 = self._bridges
+            if dimension is not None:
+                x0, x1 = x0[:, dimension : dimension + 1], x1[:, dimension : dimension + 1]
+            parts.append((t0, x0, t1, x1))
+        if not parts:
             columns = self._dimensions if dimension is None else 1
             return np.empty(0), np.empty((0, columns)), np.empty(0), np.empty((0, columns))
-        return join_pieces(
-            *(_joined([pair[field] for pair in left]) for field in range(3)),
-            *(_joined([pair[field] for pair in right]) for field in range(3)),
-        )
+        return tuple(_joined([part[field] for part in parts]) for field in range(4))
 
     def _block_pieces(
-        self, index: int, dimension: int
+        self, index: int, dimension: Optional[int]
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """One block's pieces in one dimension, cached."""
-        key = (index, dimension)
-        cached = self._pieces_cache.get(key)
-        if cached is None:
-            cached = pair_pieces(*self._block_records(index, dimension))
-            self._pieces_cache[key] = cached
-        return cached
+        """One block's pieces in one dimension, or all of them (cached).
+
+        On a 1-dimensional stream both are the same pieces, kept once.
+        """
+        if self._dimensions == 1:
+            dimension = None
+        key = (index, "pieces", dimension)
+        pieces = self._cached(key)
+        if pieces is None:
+            pieces = pair_pieces(*self._block_records(index, dimension))
+            self._keep(key, pieces, pieces)
+        return pieces
 
     def _clip_block(
         self, index: int, start: float, end: float, dimension: int

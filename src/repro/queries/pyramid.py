@@ -12,7 +12,11 @@ them*, so one cell's aggregates are exact over its whole span.
 count fits the budget, emits the fully-contained cells straight from their
 summaries, and descends only at the two viewport edges — down to a clipped
 level-0 block at most, so a zoom reads O(cells) summaries and decodes at
-most the two blocks the viewport boundaries cut.  Live-tail recordings ride
+most the two blocks the viewport boundaries cut.  The pyramid's level
+tables are part of the stream's stored index: kept in the plan cache
+(:mod:`repro.queries.plan_cache`) under the stream's stamp beside the
+block index and the decoded edge blocks, so repeated zooms on an unchanged
+stream read nothing from the store.  Live-tail recordings ride
 along as one virtual trailing cell on every level.  Streams without a
 pyramid — those with nothing archived yet, non-summarising backends, seed
 catalogs on read-only stores — get uniform bins over the decoded
@@ -28,12 +32,14 @@ import numpy as np
 
 from repro.approximation.piecewise import Approximation
 from repro.approximation.reconstruct import reconstruct
+from repro.queries import plan_cache
 from repro.queries.aggregates import _segments_of, clip_aggregate, window_edges
 from repro.queries.planner import (
     PlannerFallback,
     StreamQueryPlan,
     TailLike,
     _reference_bounds,
+    _summaries_bytes,
     read_with_tail,
 )
 from repro.storage.summaries import END_CODE, PYRAMID_BASE, bridge_piece
@@ -143,36 +149,74 @@ def _summary_state(summary: dict, dimension: int, level: int) -> Optional[_CellS
     )
 
 
+#: One stored pyramid level: cell start and end times, and cell summaries.
+_Level = Tuple[np.ndarray, np.ndarray, List[dict]]
+
+
+def _stored_levels(store, name: str) -> Tuple[int, List[_Level]]:
+    """The stream's stored pyramid levels, and the stamp they are cached under.
+
+    The zoom part of the stream's stored index, cached in the plan cache
+    beside it.  A miss reads the store's ``pyramid_levels``, which builds
+    the pyramid on the stream's first zoom and so renews its stamp: the
+    levels are cached under the stamp read afterwards.
+
+    Raises:
+        PlannerFallback: If the store keeps no block summaries to fold.
+    """
+    stamp = store.stamp(name)
+    levels = plan_cache.PLAN_CACHE.get((stamp, "zoom"))
+    if levels is not None:
+        return stamp, levels
+    try:
+        pyramid = store.pyramid_levels(name)
+    except (AttributeError, NotImplementedError) as error:
+        raise PlannerFallback(str(error)) from None
+    levels = [
+        (
+            np.array([float(cell[0]) for cell in cells]),
+            np.array([float(cell[1]) for cell in cells]),
+            [cell[2] for cell in cells],
+        )
+        for cells in pyramid
+    ]
+    stamp = store.stamp(name)
+    plan_cache.PLAN_CACHE.put(
+        (stamp, "zoom"),
+        levels,
+        [array for lo, hi, _ in levels for array in (lo, hi)],
+        sum(_summaries_bytes(summaries) for _, _, summaries in levels),
+    )
+    return stamp, levels
+
+
 class _ZoomLevels:
     """Per-level cell tables (times, summaries) with the tail appended.
 
     Level 0 is the plan's block row (stored blocks plus the virtual tail
-    block); higher levels are the persisted pyramid cells with the same
+    block); higher levels are the stored pyramid levels with the same
     tail cell appended, so the descent treats live recordings like any
     other trailing cell.  ``stored[level]`` counts the cells that have real
     pyramid children (everything before the tail).
     """
 
-    def __init__(self, plan: StreamQueryPlan, pyramid: List[List[list]]) -> None:
+    def __init__(self, plan: StreamQueryPlan, stored: List[_Level]) -> None:
         self._plan = plan
         summaries = plan._summaries
         has_tail = len(summaries) > plan._real_blocks
-        self.lo: List[np.ndarray] = [np.asarray(plan._starts)]
-        self.hi: List[np.ndarray] = [np.asarray(plan._ends)]
-        self.summaries: List[List[dict]] = [list(summaries)]
+        self.lo: List[np.ndarray] = [plan._starts]
+        self.hi: List[np.ndarray] = [plan._ends]
+        self.summaries: List[List[dict]] = [summaries]
         self.stored: List[int] = [plan._real_blocks]
-        for cells in pyramid:
-            lo = [float(cell[0]) for cell in cells]
-            hi = [float(cell[1]) for cell in cells]
-            level_summaries = [cell[2] for cell in cells]
+        for lo, hi, level_summaries in stored:
+            self.stored.append(len(level_summaries))
             if has_tail:
-                lo.append(float(plan._starts[-1]))
-                hi.append(float(plan._ends[-1]))
-                level_summaries.append(summaries[-1])
-            self.lo.append(np.asarray(lo))
-            self.hi.append(np.asarray(hi))
+                lo = np.append(lo, plan._starts[-1])
+                hi = np.append(hi, plan._ends[-1])
+                level_summaries = level_summaries + [summaries[-1]]
+            self.lo.append(lo)
+            self.hi.append(hi)
             self.summaries.append(level_summaries)
-            self.stored.append(len(cells))
 
     def __len__(self) -> int:
         return len(self.summaries)
@@ -221,13 +265,13 @@ class _ZoomLevels:
 
 def _zoom(
     plan: StreamQueryPlan,
-    pyramid: List[List[list]],
+    stored: List[_Level],
     start: float,
     end: float,
     max_points: int,
     dimension: int,
 ) -> List[ZoomCell]:
-    levels = _ZoomLevels(plan, pyramid)
+    levels = _ZoomLevels(plan, stored)
     # Finest level whose overlapping cells fit the budget, keeping two slots
     # for the edge descents; the coarsest level always fits (≤ 2 cells).
     chosen = len(levels) - 1
@@ -509,15 +553,14 @@ def plan_zoom(
     try:
         if name not in store:
             raise PlannerFallback("stream has nothing archived yet")
+        stamp, stored = _stored_levels(store, name)
         plan = StreamQueryPlan(store, name, tail)
-        try:
-            pyramid = store.pyramid_levels(name)
-        except (AttributeError, NotImplementedError) as error:
-            raise PlannerFallback(str(error)) from None
+        if plan._stamp != stamp:
+            raise PlannerFallback("stream changed during the zoom")
         lo, hi = plan.time_bounds()
         return _zoom(
             plan,
-            pyramid,
+            stored,
             lo if start is None else float(start),
             hi if end is None else float(end),
             max_points,

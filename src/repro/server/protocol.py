@@ -99,6 +99,7 @@ __all__ = [
     "CODEC_JSON",
     "CODECS",
     "MAX_FRAME",
+    "FrameTooLarge",
     "ProtocolError",
     "encode_frame",
     "decode_body",
@@ -132,6 +133,15 @@ class ProtocolError(ReproError):
     """Raised on malformed frames: bad codec, oversized length, torn body."""
 
 
+class FrameTooLarge(ProtocolError):
+    """A message that would encode to a frame larger than :data:`MAX_FRAME`."""
+
+    def __init__(self, size: int, limit: int) -> None:
+        super().__init__(f"frame of {size} bytes exceeds MAX_FRAME")
+        self.size = size
+        self.limit = limit
+
+
 def encode_frame(body: Dict, codec: str = CODEC_JSON) -> bytes:
     """Serialize one message into a wire frame (numpy arrays as float64)."""
     if codec == CODEC_JSON:
@@ -151,7 +161,7 @@ def encode_frame(body: Dict, codec: str = CODEC_JSON) -> bytes:
         raise ProtocolError(f"unknown codec {codec!r}")
     size = 1 + sum(part.nbytes if isinstance(part, np.ndarray) else len(part) for part in parts)
     if size > MAX_FRAME:
-        raise ProtocolError(f"frame of {size} bytes exceeds MAX_FRAME")
+        raise FrameTooLarge(size, MAX_FRAME)
     return b"".join([_HEADER.pack(size), codec.encode("ascii"), *parts])
 
 

@@ -48,6 +48,7 @@ from repro.server.hub import DEFAULT_TAIL_QUEUE, BroadcastHub, Subscription
 from repro.server.protocol import (
     CODEC_JSON,
     CODECS,
+    FrameTooLarge,
     ProtocolError,
     aggregates_to_wire,
     encode_frame,
@@ -107,6 +108,16 @@ class _IngestChannel:
     task: "asyncio.Task"
     points: int = 0
     error: Optional[str] = None
+
+
+def _too_large(request_id, op, error: FrameTooLarge) -> Dict:
+    """The ``bad_request`` answering a request whose answer exceeds MAX_FRAME."""
+    message = (
+        f"the answer to {op!r} would be a {error.size}-byte frame, over "
+        f"MAX_FRAME ({error.limit} bytes); narrow the request: a shorter "
+        f"[start, end], a larger step or window, or fewer max_points"
+    )
+    return {"id": request_id, "ok": False, "error": {"code": "bad_request", "message": message}}
 
 
 @dataclass(eq=False)  # identity semantics: connections live in a set
@@ -376,7 +387,12 @@ class StreamDBServer:
                 },
             }
         try:
-            await connection.send(response, codec)
+            try:
+                await connection.send(response, codec)
+            except FrameTooLarge as error:
+                # The answer cannot travel; say so and keep the connection,
+                # which other requests may still be waiting on.
+                await connection.send(_too_large(request_id, op, error), codec)
         except ConnectionError:
             pass
 

@@ -37,6 +37,7 @@ generation while a live ingester keeps appending.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -50,7 +51,6 @@ from repro.approximation.piecewise import Approximation
 from repro.approximation.reconstruct import reconstruct
 from repro.core.types import Recording, RecordingKind
 from repro.storage.backends.base import (
-    KIND_BY_CODE,
     RECORD_KINDS,
     DimsLike,
     StorageBackend,
@@ -67,11 +67,6 @@ from repro.storage.wal import CatalogJournal
 from repro.testing import faults
 
 __all__ = ["SegmentStore", "StoredStream"]
-
-# Backwards-compatible aliases (the codes are part of the log format and now
-# live with the backends).
-_RECORD_KINDS = RECORD_KINDS
-_KIND_BY_CODE = KIND_BY_CODE
 
 #: Catalog schema version written by this release.  Version 1 (the seed) had
 #: no ``filename``/``blocks`` fields; both are recovered on open.  Version 3
@@ -91,6 +86,10 @@ _BLOCK_WIDTH = 5
 
 #: Journal bytes past which a flush upgrades itself to a full checkpoint.
 _JOURNAL_LIMIT = 1 << 20
+
+#: One counter for the whole process, so no two versions of any stream —
+#: in any store, reopening or snapshot reader — share a stamp.
+_STAMPS = itertools.count(1)
 
 
 @dataclass
@@ -115,6 +114,8 @@ class StoredStream:
             (levels of ``[min_time, max_time, summary]`` cells, finest
             first — see :func:`repro.storage.summaries.build_pyramid`), or
             ``None`` while no zoom query has asked for it yet.
+        stamp: This version of the entry, unique in the process (see
+            :meth:`SegmentStore.stamp`); not persisted.
     """
 
     name: str
@@ -126,6 +127,7 @@ class StoredStream:
     filename: Optional[str] = None
     blocks: List[list] = field(default_factory=list)
     pyramid: Optional[List[List[list]]] = None
+    stamp: int = field(default_factory=lambda: next(_STAMPS), compare=False, repr=False)
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -466,6 +468,23 @@ class SegmentStore:
 
     def __len__(self) -> int:
         return len(self._catalog)
+
+    def stamp(self, name: str) -> int:
+        """The stamp of ``name``'s current catalog entry.
+
+        Every change to the entry gives it a new stamp from one process-wide
+        counter: appends (a trailing block topped up in place too),
+        truncation, compaction, summary backfill and pyramid builds renew it
+        in place, on snapshot readers as well; registration, journal replay,
+        recovery and :meth:`refresh` build new entries, which draw new
+        stamps.  So a stamp names one version of one stream in the process,
+        and state derived from the stream (the query planner's cache) can be
+        keyed by it and never served stale.
+
+        Raises:
+            KeyError: If the stream does not exist.
+        """
+        return self.describe(name).stamp
 
     # ------------------------------------------------------------------ #
     # Writing
@@ -1056,8 +1075,11 @@ class SegmentStore:
         to snapshot readers and replayable after a crash — and defer the
         O(catalog) checkpoint to :meth:`flush` (or to the journal growing
         past ``journal_limit``).  Snapshot readers may mutate in-memory
-        caches (summary backfill, pyramids) but never persist: no-op.
+        caches (summary backfill, pyramids) but never persist; they only
+        renew the stream's stamp, like every mutation.
         """
+        if name is not None and name in self._catalog:
+            self._catalog[name].stamp = next(_STAMPS)
         if self._read_only:
             return
         self._generation += 1

@@ -204,6 +204,10 @@ class ShardedStore:
     def __contains__(self, name: str) -> bool:
         return name in self.shard_for(name)
 
+    def stamp(self, name: str) -> int:
+        """Stamp of ``name``'s catalog entry (see ``SegmentStore.stamp``)."""
+        return self.shard_for(name).stamp(name)
+
     def __len__(self) -> int:
         return sum(len(shard) for shard in self._shards)
 

@@ -29,7 +29,7 @@ import repro.client
 from crash_harness import REPO_SRC, make_workload
 from repro.api import FilterSpec
 from repro.client import AsyncStreamClient, ServerError, StreamClient
-from repro.server import BroadcastHub, StreamDBServer
+from repro.server import BroadcastHub, StreamDBServer, protocol
 from repro.server.protocol import (
     CODEC_ARRAYS,
     CODEC_JSON,
@@ -599,6 +599,22 @@ class TestServerErrors:
                     client._request("frobnicate")
                 assert unknown_op.value.code == "bad_request"
                 client.ping()  # connection survived every error
+
+    @pytest.mark.parametrize("codec", [CODEC_ARRAYS, CODEC_JSON])
+    def test_answer_over_max_frame_is_a_bad_request(self, tmp_path, monkeypatch, codec):
+        times = np.arange(2000.0)
+        with ServerHarness(tmp_path / "store") as harness:
+            with harness.connect(codec=codec) as client:
+                client.ingest("s0", times, np.sin(times / 40.0))
+                client.seal("s0")
+                monkeypatch.setattr(protocol, "MAX_FRAME", 4096)
+                with pytest.raises(ServerError) as refused:
+                    client.resample("s0", 0.01)  # ~200k grid points
+                assert refused.value.code == "bad_request"
+                assert "MAX_FRAME" in str(refused.value)
+                assert "narrow the request" in str(refused.value)
+                client.ping()  # the connection survived
+                assert len(client.resample("s0", 100.0)[0]) == 20
 
     def test_hello_refuses_unknown_codecs(self, tmp_path):
         with ServerHarness(tmp_path / "store") as harness:
