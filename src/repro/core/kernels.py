@@ -1,28 +1,38 @@
-"""Audited array kernels shared by the filters' vectorized batch paths.
+"""Audited kernels shared by the filters' batch paths.
 
 The swing and slide filters promise that :meth:`StreamFilter.process_batch`
 emits recordings *bit-identical* to the per-point :meth:`feed` path.  Keeping
-that promise while running at numpy speed means every piece of floating-point
-arithmetic the batch paths share with the per-point paths has to live in one
-place, written once and audited once.  This module is that place:
+that promise while running faster than the per-point path means every piece
+of floating-point arithmetic the batch paths share with the per-point paths
+has to live in one place, written once and audited once.  This module is
+that place:
 
 * **Line evaluation** — :func:`evaluate_lines` is ``Line.value_at`` broadcast
   over a window of timestamps and a family of per-dimension bounding lines.
 * **Violation scans** — :func:`slide_event_masks` classifies every point of a
   probe window against the slide filter's bounding lines (hard violation vs
   bound-update event); :func:`first_true` / :func:`swing_first_rejection`
-  locate the first event without a Python loop.
+  locate the first event without a Python loop.  The swing scans
+  (:func:`swing_candidate_slopes`, :func:`swing_running_bounds`,
+  :func:`swing_first_rejection`) serve multi-dimensional streams only; a
+  one-dimensional swing stream runs a float-native core instead.
 * **Moment accumulation** — :func:`fold_left_sum` / :func:`fold_left_sum_rows`
   are strict left folds: they add elements in exactly the per-point order
   (``((init + a0) + a1) + ...``), so the MSE moments match the per-point
   path bit for bit.  Unlike the previous ``concatenate`` + ``cumsum`` +
   take-last idiom they never materialize O(run) temporaries — the scan is
   blocked through a bounded scratch buffer.
+* **Scalar stand-ins** — both filters' one-dimensional batch paths are
+  float-native cores that run the per-point arithmetic on Python floats.
+  :func:`clip_ties_to_value` and :func:`clip_ties_to_bounds` reproduce
+  ``np.clip`` exactly for the two ways the per-point paths call it (Python
+  floats, and ``(d,)`` arrays), which settle a tie with a signed zero
+  differently.
 
 Every kernel documents the exact expression it computes; the per-point code
 in :mod:`repro.core.swing` / :mod:`repro.core.slide` computes the same
-expressions with scalar arithmetic, and ``tests/test_kernels.py`` pins the
-bitwise agreement with property/fuzz suites.
+expressions, and ``tests/test_kernels.py`` pins the bitwise agreement with
+property/fuzz suites.
 """
 
 from __future__ import annotations
@@ -43,6 +53,8 @@ __all__ = [
     "swing_running_bounds",
     "swing_first_rejection",
     "within_epsilon_mask",
+    "clip_ties_to_value",
+    "clip_ties_to_bounds",
 ]
 
 #: Block length of the fold-left reductions: large enough to amortize numpy
@@ -294,3 +306,34 @@ def within_epsilon_mask(
     predicted = evaluate_lines(times, slopes, intercepts)
     slack = slack_scale * ((1.0 + np.abs(values)) + epsilon)
     return np.abs(predicted - values) <= epsilon + slack
+
+
+# --------------------------------------------------------------------------- #
+# Scalar stand-ins for the float-native cores
+# --------------------------------------------------------------------------- #
+def clip_ties_to_value(value: float, low: float, high: float) -> float:
+    """``float(np.clip(value, low, high))`` for Python-float operands.
+
+    Bit-identical to that call (signed zeros and infinities included)
+    whenever neither bound is NaN: a value equal to a bound is returned
+    as is, so ``-0.0`` clipped to ``[0.0, 1.0]`` stays ``-0.0``.  The slide
+    filter's interval close clips Python floats this way, and only to
+    bounds it has ordered or checked for finiteness first.
+    """
+    value = low if value < low else value
+    return high if value > high else value
+
+
+def clip_ties_to_bounds(value: float, low: float, high: float) -> float:
+    """One element of ``np.clip(values, lows, highs)`` with array bounds.
+
+    With array bounds ``np.clip`` computes ``np.minimum(np.maximum(values,
+    lows), highs)``, and both return their second operand on a tie, so a
+    value equal to a bound yields the bound: ``-0.0`` clipped to
+    ``[0.0, 1.0]`` is ``0.0`` here, where :func:`clip_ties_to_value` keeps
+    ``-0.0``.  A NaN value stays NaN.  Bit-identical whenever neither bound
+    is NaN; the swing filter's MSE slope (``SwingFilter._optimal_slope``)
+    clips ``(d,)`` arrays this way.
+    """
+    value = low if value <= low else value
+    return high if value >= high else value

@@ -74,17 +74,6 @@ _PROBE_ENTER_STREAK = 16
 _PAIRWISE_MIN = 8
 
 
-def _clip(value: float, low: float, high: float) -> float:
-    """``float(np.clip(value, low, high))`` on Python floats.
-
-    Bit-identical to ``np.clip`` (signed zeros and infinities included)
-    whenever neither bound is NaN; the filter only clips to bounds it has
-    ordered or checked for finiteness first.
-    """
-    value = low if value < low else value
-    return high if value > high else value
-
-
 def _mean(values: Sequence[float]) -> float:
     """``float(np.mean(values))`` for a non-empty sequence of floats."""
     count = len(values)
@@ -900,7 +889,7 @@ class SlideFilter(StreamFilter):
             - pivot_time * self._sum_x[dimension]
             + self._n * pivot_value * pivot_time
         )
-        return _clip(numerator / denominator, low, high)
+        return kernels.clip_ties_to_value(numerator / denominator, low, high)
 
     # ------------------------------------------------------------------ #
     # Connection
@@ -954,7 +943,9 @@ class SlideFilter(StreamFilter):
                 # segment already passes through it, so reuse its slope
                 # clamped into the admissible range.
                 low, high = sorted((self._upper[i].slope, self._lower[i].slope))
-                joined = Line.from_point_slope(t_z, x_z, _clip(g_prev.slope, low, high))
+                joined = Line.from_point_slope(
+                    t_z, x_z, kernels.clip_ties_to_value(g_prev.slope, low, high)
+                )
             lines.append(joined)
         if not self._interval_is_safe(lines):
             return None
@@ -1062,7 +1053,7 @@ class SlideFilter(StreamFilter):
                 crossing = (alpha + beta) / 2.0
             preferred_times.append(crossing)
 
-        connection_time = _clip(_mean(preferred_times), alpha, beta)
+        connection_time = kernels.clip_ties_to_value(_mean(preferred_times), alpha, beta)
         lines = []
         for i in range(self._dimensions):
             t_z, x_z = apexes[i]

@@ -103,8 +103,9 @@ class SwingFilter(StreamFilter):
         # Acceptance and the swing update are both expressed on the slopes of
         # the candidate bounding lines through the anchor (dividing the
         # line-space inequalities of Algorithm 1 by dt > 0).  The batch path
-        # (:meth:`_process_batch`) evaluates the very same expressions with
-        # prefix min/max scans, so both paths produce identical recordings.
+        # (:meth:`_process_batch`) evaluates the very same expressions, on
+        # Python floats for one dimension and with prefix min/max scans for
+        # more, so both paths produce identical recordings.
         epsilon = self._epsilon_array()
         dt = point.time - self._anchor_time
         upper_candidate = (point.value + epsilon - self._anchor_value) / dt
@@ -130,27 +131,38 @@ class SwingFilter(StreamFilter):
         self._interval_points = 1
 
     def _process_batch(self, times: np.ndarray, values: np.ndarray) -> None:
-        """Vectorized chunk processing (identical recordings to the feed path).
+        """Chunk processing with recordings identical to the feed path.
 
-        For every chunk position the candidate upper/lower slopes through the
-        current anchor are computed in one shot; the bounds in effect at each
-        position are prefix min/max scans over those candidates, so the first
-        violating point of each filtering interval is found without a Python
-        loop.  The Python loop below runs once per *recording*, not once per
-        point.  The arithmetic lives in :mod:`repro.core.kernels` (shared
-        with the slide filter); the MSE sums are accumulated with strict
+        One-dimensional streams run the float-native core
+        :meth:`_process_batch_1d`.  Multi-dimensional streams run the window
+        scan below: for every chunk position the candidate upper/lower slopes
+        through the current anchor are computed in one shot; the bounds in
+        effect at each position are prefix min/max scans over those
+        candidates, so the first violating point of each filtering interval
+        is found without a Python loop.  The Python loop below runs once per
+        *recording*, not once per point.  The arithmetic lives in
+        :mod:`repro.core.kernels`; the MSE sums are accumulated with strict
         left folds matching the per-point addition order bit for bit.
 
         The scan advances through the chunk in a geometrically growing
         lookahead window (reset at every violation): candidate slopes are only
         computed for points that are likely to share the current anchor, so a
         chunk containing many short segments costs O(chunk), not
-        O(chunk × segments).
+        O(chunk × segments).  Each window costs about 15 numpy dispatches,
+        which is why one dimension takes the float loop instead: at up to a
+        few hundred points per recording, interpreter arithmetic per point is
+        cheaper than a window per interval.  Only intervals of thousands of
+        points amortize the scan better (a 1-D slow sine with ~3,700 points
+        per recording costs ~0.45 µs per point in the float loop, 0.3–0.4 in
+        the scan).
         """
         if self.max_lag is not None or self._locked_slope is not None:
             # Bounded-lag bookkeeping is inherently sequential; keep the
             # per-point reference path.
             super()._process_batch(times, values)
+            return
+        if values.shape[1] == 1:
+            self._process_batch_1d(times, values)
             return
         epsilon = self._epsilon_array()
         total = times.shape[0]
@@ -191,8 +203,12 @@ class SwingFilter(StreamFilter):
                 self._upper_slope = np.minimum(bound_upper[run - 1], upper_candidates[run - 1])
                 self._lower_slope = np.maximum(bound_lower[run - 1], lower_candidates[run - 1])
                 contributions = (xs[:run] - self._anchor_value) * dt[:run, None]
-                initial = self._sum_xt if self._sum_xt is not None else np.zeros(dims)
-                self._sum_xt = kernels.fold_left_sum_rows(initial, contributions)
+                if self._sum_xt is None:
+                    # The opening point's contribution is the first sum, not
+                    # an addend of 0.0 (0.0 + -0.0 would drop a zero's sign).
+                    self._sum_xt = kernels.fold_left_sum_rows(contributions[0], contributions[1:])
+                else:
+                    self._sum_xt = kernels.fold_left_sum_rows(self._sum_xt, contributions)
                 self._sum_tt = kernels.fold_left_sum(self._sum_tt, dt[:run] * dt[:run])
                 self._interval_points += run
                 self._last_point = DataPoint(float(ts[run - 1]), xs[run - 1])
@@ -209,6 +225,105 @@ class SwingFilter(StreamFilter):
             self._interval_points = 1
             position += run + 1
             window = _INITIAL_WINDOW
+
+    def _process_batch_1d(self, times: np.ndarray, values: np.ndarray) -> None:
+        """Float-native batch core for one-dimensional streams.
+
+        Runs :meth:`_feed_point`'s arithmetic on Python floats, point after
+        point and interval after interval across the whole chunk: the
+        acceptance test, the bound swing and :meth:`_accumulate`'s moment
+        sums; at a violation the close of :meth:`_optimal_slope` and
+        :meth:`_close_segment`, then :meth:`_open_bounds` and
+        :meth:`_reset_sums` for the violator.  Python floats and numpy
+        float64 are the same IEEE-754 doubles and every expression keeps the
+        reference operand order.  ``np.minimum`` and ``np.maximum`` return
+        their second operand on a tie (which decides the sign of a zero
+        result), so the bound swing and the ordered bounds are written
+        ``a if a < b else b`` and ``a if a > b else b``, and the clamp is
+        :func:`kernels.clip_ties_to_bounds`, the array form of ``np.clip``
+        that :meth:`_optimal_slope` calls.  The recordings are therefore
+        bit-identical to :meth:`feed`.
+
+        The filter state lives in locals and is written back once, at the
+        end of the chunk, in the array types :meth:`snapshot` captures.
+        """
+        # Iterating a float64 memoryview yields Python floats one at a time:
+        # faster than ``tolist()`` and without a chunk's worth of float
+        # objects alive at once.
+        time_view = memoryview(times)
+        value_view = memoryview(values[:, 0])
+        eps = float(self._epsilon_array()[0])
+        position = 0
+        if self._anchor_time is None:
+            # Algorithm 1 line 2: the first point is recorded verbatim.
+            self._emit(time_view[0], values[0], RecordingKind.SEGMENT_START)
+            self._anchor_time = time_view[0]
+            self._anchor_value = values[0].copy()
+            self._last_point = DataPoint(time_view[0], values[0])
+            position = 1
+            if len(time_view) == 1:
+                return
+        anchor_time = self._anchor_time
+        anchor = float(self._anchor_value[0])
+        last_time = self._last_point.time
+        sum_tt = float(self._sum_tt)
+        interval_points = self._interval_points
+        if self._upper_slope is None:
+            # The interval's second point opens the bounds and is accepted.
+            t = time_view[position]
+            x = value_view[position]
+            dt = t - anchor_time
+            upper = (x + eps - anchor) / dt
+            lower = (x - eps - anchor) / dt
+            sum_xt = (x - anchor) * dt
+            sum_tt += dt * dt
+            interval_points += 1
+            last_time = t
+            position += 1
+        else:
+            upper = float(self._upper_slope[0])
+            lower = float(self._lower_slope[0])
+            sum_xt = float(self._sum_xt[0])
+        anchor_moved = False
+        for t, x in zip(time_view[position:], value_view[position:]):
+            dt = t - anchor_time
+            upper_candidate = (x + eps - anchor) / dt
+            lower_candidate = (x - eps - anchor) / dt
+            if lower_candidate <= upper and upper_candidate >= lower:
+                upper = upper if upper < upper_candidate else upper_candidate
+                lower = lower if lower > lower_candidate else lower_candidate
+                sum_xt += (x - anchor) * dt
+                sum_tt += dt * dt
+                interval_points += 1
+            else:
+                if sum_tt <= 0.0:
+                    slope = (upper + lower) / 2.0
+                else:
+                    slope = kernels.clip_ties_to_bounds(
+                        sum_xt / sum_tt,
+                        upper if upper < lower else lower,
+                        upper if upper > lower else lower,
+                    )
+                anchor = anchor + slope * (last_time - anchor_time)
+                anchor_time = last_time
+                anchor_moved = True
+                self._emit(anchor_time, [anchor], RecordingKind.SEGMENT_END)
+                dt = t - anchor_time
+                upper = (x + eps - anchor) / dt
+                lower = (x - eps - anchor) / dt
+                sum_xt = (x - anchor) * dt
+                sum_tt = dt * dt
+                interval_points = 1
+            last_time = t
+        self._anchor_time = anchor_time
+        if anchor_moved:
+            self._anchor_value = np.array([anchor])
+        self._upper_slope = np.array([upper])
+        self._lower_slope = np.array([lower])
+        self._sum_xt = np.array([sum_xt])
+        self._sum_tt = sum_tt
+        self._interval_points = interval_points
+        self._last_point = DataPoint(last_time, values[-1])
 
     def _finish_stream(self) -> None:
         if self._anchor_time is None or self._last_point is None:

@@ -10,13 +10,19 @@ Three layers are pinned here:
 3. the filters' batch paths emit recordings bit-identical to per-point
    ``feed()`` and to the legacy per-point batch driver, across random
    signals x {connect_segments on/off, 1-dim/multi-dim, max_lag fallback,
-   use_convex_hull on/off}.
+   use_convex_hull on/off}, and for swing across signed-zero and
+   subnormal streams that tie candidate slopes, with snapshots restored
+   between chunks.
 """
 
 from __future__ import annotations
 
+import itertools
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import kernels
 from repro.core.base import StreamFilter
@@ -155,6 +161,25 @@ class TestLineKernels:
         assert kernels.first_true(np.array([False, False, True, True])) == 2
         assert kernels.first_true(np.array([False, False])) == 2
         assert kernels.first_true(np.array([], dtype=bool)) == 0
+
+
+class TestClipStandIn:
+    def test_clip_ties_to_bounds_matches_numpy_arrays(self):
+        """The swing core's clamp is ``np.clip`` on ``(1,)`` arrays, bitwise."""
+        grid = [0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -2.0, 3.0, 5e-324, -5e-324]
+        bounds = [value for value in grid if not np.isnan(value)]
+        for value in grid:
+            for low in bounds:
+                for high in bounds:
+                    with np.errstate(invalid="ignore"):
+                        expected = np.clip(np.array([value]), np.array([low]), np.array([high]))
+                    actual = np.array([kernels.clip_ties_to_bounds(value, low, high)])
+                    assert actual.tobytes() == expected.tobytes() or (
+                        np.isnan(actual[0]) and np.isnan(expected[0])
+                    ), (value, low, high)
+        # The two stand-ins differ exactly on a tie with a signed zero.
+        assert repr(kernels.clip_ties_to_bounds(-0.0, 0.0, 1.0)) == "0.0"
+        assert repr(kernels.clip_ties_to_value(-0.0, 0.0, 1.0)) == "-0.0"
 
 
 # --------------------------------------------------------------------------- #
@@ -414,3 +439,96 @@ class TestSwingPathEquivalence:
         reference = run_feed(SwingFilter, times, values, 0.7, max_lag=9)
         kernel = run_batched(SwingFilter, times, values, 0.7, 200, max_lag=9)
         assert kernel == reference
+
+
+# --------------------------------------------------------------------------- #
+# Swing on grids that tie candidate slopes and hit signed zeros
+# --------------------------------------------------------------------------- #
+#: The smallest subnormal: a difference of a few of these divided by a time
+#: step of 2 or more underflows to a signed zero.
+TINY = 5e-324
+GRID_VALUES = [-1.0, -0.5, -0.0, 0.0, 0.5, 1.0] + [k * TINY for k in (-3, -2, -1, 1, 2, 3)]
+GRID_EPSILONS = [0.0, -0.0, TINY, 2 * TINY, 0.5]
+GRID_STEPS = [0.5, 1.0, 2.0, 3.0, 5.0]
+
+
+def recording_bits(recordings):
+    """Recordings as bytes, so ``-0.0`` and ``0.0`` compare unequal."""
+    return [
+        (r.kind, np.float64(r.time).tobytes(), np.asarray(r.value, dtype=float).tobytes())
+        for r in recordings
+    ]
+
+
+@st.composite
+def grid_streams(draw, dimensions):
+    """``(times, rows, epsilon, cuts)``: irregular steps, grid values, chunk cuts."""
+    length = draw(st.integers(1, 24))
+    steps = draw(st.lists(st.sampled_from(GRID_STEPS), min_size=length, max_size=length))
+    row = st.lists(st.sampled_from(GRID_VALUES), min_size=dimensions, max_size=dimensions)
+    rows = draw(st.lists(row, min_size=length, max_size=length))
+    epsilon = draw(
+        st.lists(st.sampled_from(GRID_EPSILONS), min_size=dimensions, max_size=dimensions)
+    )
+    cuts = draw(st.lists(st.integers(1, length), max_size=4))
+    return list(itertools.accumulate(steps)), rows, epsilon, sorted(set(cuts))
+
+
+def check_grid_stream(times, rows, epsilon, cuts):
+    """Batch equals ``feed()`` bitwise, and every between-chunk snapshot resumes it."""
+    times = np.array(times)
+    values = np.array(rows)
+    reference = SwingFilter(epsilon)
+    expected = []
+    for t, v in zip(times, values):
+        expected += reference.feed(t, v)
+    expected = recording_bits(expected + reference.finish())
+
+    edges = [0] + [cut for cut in cuts if cut < len(times)] + [len(times)]
+    chunks = list(zip(edges, edges[1:]))
+    swing = SwingFilter(epsilon)
+    recordings = []
+    snapshots = []
+    for index, (start, stop) in enumerate(chunks):
+        if index:
+            snapshots.append((index, len(recordings), pickle.dumps(swing.snapshot())))
+        recordings += swing.process_batch(times[start:stop], values[start:stop])
+    assert recording_bits(recordings + swing.finish()) == expected
+
+    for index, emitted, state in snapshots:
+        resumed = SwingFilter(1.0).restore(pickle.loads(state))
+        tail = []
+        for start, stop in chunks[index:]:
+            tail += resumed.process_batch(times[start:stop], values[start:stop])
+        assert recording_bits(tail + resumed.finish()) == expected[emitted:]
+
+
+class TestSwingSignedZeros:
+    """Ties between candidate slopes decide the sign of a zero bound or slope.
+
+    ``np.minimum`` / ``np.maximum`` return their second operand on a tie and
+    ``np.clip`` with array bounds returns the bound; the pinned examples each
+    fail if the 1-D float core breaks one of those rules (the lower-bound
+    swing, the upper-bound swing, the upper end of the ordered bounds, and
+    the clamp written as builtin ``min``/``max``), and the last 1-D example
+    failed at the earlier window-scan batch path, which began the moment sum
+    at ``0.0 + -0.0``.
+    """
+
+    @given(stream=grid_streams(dimensions=1))
+    @example(stream=([2.0, 4.0, 6.0], [[-0.0], [-TINY], [TINY]], [-0.0], []))
+    @example(stream=([0.5, 5.5, 6.5], [[-0.0], [-2 * TINY], [-3 * TINY]], [2 * TINY], []))
+    @example(stream=([3.0, 5.0, 8.0], [[-0.0], [0.0], [-1.0]], [TINY], []))
+    @example(stream=([1.0, 1.5, 6.5], [[-0.0], [-TINY], [-1.0]], [TINY], []))
+    @example(stream=([1.0, 1.5], [[-0.0], [-TINY]], [0.5], [1]))
+    @settings(max_examples=300, deadline=None)
+    def test_one_dimension(self, stream):
+        check_grid_stream(*stream)
+
+    @given(stream=grid_streams(dimensions=2))
+    @example(
+        stream=([3.0, 3.5, 4.5], [[TINY, -0.0], [1.0, -TINY], [1.0, TINY]], [0.0, 0.5], [])
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_two_dimensions(self, stream):
+        check_grid_stream(*stream)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.approximation.reconstruct import reconstruct, segments_from_recordings
+from repro.core.kernels import clip_ties_to_value
 from repro.core.slide import (
     SlideFilter,
-    _clip,
     _closest_in_intervals,
     _intersect_interval_sets,
     _mean,
@@ -37,7 +37,8 @@ class TestFloatHelpers:
             for low in bounds:
                 for high in bounds:
                     expected = float(np.clip(value, low, high))
-                    assert _same_float(_clip(value, low, high), expected), (value, low, high)
+                    actual = clip_ties_to_value(value, low, high)
+                    assert _same_float(actual, expected), (value, low, high)
 
     @pytest.mark.parametrize("length", range(1, 21))
     def test_mean_matches_numpy(self, length):
