@@ -96,7 +96,7 @@ def main(argv=None) -> int:
     upper_chain, lower_chain = build_chains(args.chain)
     t_new, x_new = build_queries(args.chain, args.queries, args.seed)
     print(
-        f"chains: {upper_chain[0].shape[0]:,} upper / {lower_chain[0].shape[0]:,} lower "
+        f"chains: {len(upper_chain[0]):,} upper / {len(lower_chain[0]):,} lower "
         f"vertices; {args.queries:,} drifting tangent queries per pass"
     )
 

@@ -52,7 +52,6 @@ __all__ = [
     "swing_candidate_slopes",
     "swing_running_bounds",
     "swing_first_rejection",
-    "within_epsilon_mask",
     "clip_ties_to_value",
     "clip_ties_to_bounds",
 ]
@@ -283,29 +282,6 @@ def swing_first_rejection(
         upper_candidates >= bound_lower, axis=1
     )
     return int(accepted.shape[0]) if bool(accepted.all()) else int(np.argmin(accepted))
-
-
-# --------------------------------------------------------------------------- #
-# Connection validation
-# --------------------------------------------------------------------------- #
-def within_epsilon_mask(
-    times: np.ndarray,
-    values: np.ndarray,
-    slopes: np.ndarray,
-    intercepts: np.ndarray,
-    epsilon: np.ndarray,
-    slack_scale: float,
-) -> np.ndarray:
-    """Check buffered points against candidate segment lines, with slack.
-
-    Computes, per point and dimension, the slide connection-validation
-    predicate ``|line_i(t) - x_i| <= epsilon_i + slack`` where
-    ``slack = slack_scale * (1 + |x_i| + epsilon_i)`` — the same expressions
-    (and association order) as the scalar loop it replaces.
-    """
-    predicted = evaluate_lines(times, slopes, intercepts)
-    slack = slack_scale * ((1.0 + np.abs(values)) + epsilon)
-    return np.abs(predicted - values) <= epsilon + slack
 
 
 # --------------------------------------------------------------------------- #

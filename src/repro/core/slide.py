@@ -37,11 +37,13 @@ from repro.core import kernels
 from repro.core.base import StreamFilter
 from repro.core.types import DataPoint, RecordingKind
 from repro.geometry.hull import IncrementalConvexHull
-from repro.geometry.lines import Line
+from repro.geometry.lines import Line, line_through
 from repro.geometry.tangents import (
     max_slope_lower_line,
+    max_slope_lower_support,
     max_slope_lower_tangent_search,
     min_slope_upper_line,
+    min_slope_upper_support,
     min_slope_upper_tangent_search,
 )
 
@@ -159,9 +161,10 @@ class SlideFilter(StreamFilter):
 
     name = "slide"
     family = "linear"
-    #: v2: array-backed hull chains and split ``_raw_times`` / ``_raw_values``
-    #: interval buffers (v1 snapshots stored tuple-list hulls and a single
-    #: ``_raw_points`` pair list).
+    #: v2: hull chains as coordinate sequences and split ``_raw_times`` /
+    #: ``_raw_values`` interval buffers (v1 snapshots stored tuple-list hulls
+    #: and a single ``_raw_points`` pair list).  The hull converts the
+    #: array chains that v2 first pickled to lists when unpickled.
     state_version = 2
     _STATE_FIELDS = (
         "_first_point",
@@ -451,12 +454,18 @@ class SlideFilter(StreamFilter):
         :meth:`_update_bounds`, the moment accumulation of :meth:`_absorb`,
         and at a violation the opening of the next interval that
         :meth:`_begin_interval`, :meth:`_open_bounds` and the second point's
-        :meth:`_absorb` perform — but on plain Python floats with the
-        bounding lines unpacked into slope/intercept scalars, so an
+        :meth:`_absorb` perform — but on plain Python floats, so an
         event-dense stretch costs interpreter arithmetic instead of the full
-        ``DataPoint``/numpy-scalar machinery.  Python floats and numpy float64
-        are the same IEEE-754 doubles and every expression keeps the reference
-        operand order, so the recordings stay bit-identical.
+        ``DataPoint``/numpy-scalar machinery.  The bounding lines are held as
+        slope/intercept floats: a bound update calls the tangent searches'
+        float cores (:func:`min_slope_upper_support`,
+        :func:`max_slope_lower_support`) on the hull's chain lists and keeps
+        the current bound only when strictly better, as the ``Line``-returning
+        searches do; a ``Line`` is built only for a bound that moved, and
+        only when the bounds are handed to :meth:`_finalize_interval` or
+        written back.  Python floats and numpy float64 are the same IEEE-754
+        doubles and every expression keeps the reference operand order, so
+        the recordings stay bit-identical.
 
         A violation closes the interval through the shared
         :meth:`_finalize_interval` (the loop first stores the bounds and
@@ -469,6 +478,8 @@ class SlideFilter(StreamFilter):
         state.  Returns ``(next_position, switch_to_probing)``.
         """
         eps = self._epsilon_list()[0]
+        # The bounds as floats; ``*_line`` is the matching Line, or None once
+        # the bound has moved and a Line has yet to be built.
         upper_line = self._upper[0]
         lower_line = self._lower[0]
         upper_slope = float(upper_line.slope)
@@ -505,6 +516,10 @@ class SlideFilter(StreamFilter):
             upper_value = upper_slope * t + upper_intercept
             lower_value = lower_slope * t + lower_intercept
             if x > upper_value + eps or x < lower_value - eps:
+                if upper_line is None:
+                    upper_line = Line(upper_slope, upper_intercept)
+                if lower_line is None:
+                    lower_line = Line(lower_slope, lower_intercept)
                 self._upper = [upper_line]
                 self._lower = [lower_line]
                 self._n = n
@@ -525,12 +540,9 @@ class SlideFilter(StreamFilter):
                 # which is always representable (Algorithm 2 lines 2 / 29).
                 t2 = time_list[position]
                 x2 = value_list[position]
-                upper_line = Line.from_points(t, x - eps, t2, x2 + eps)
-                lower_line = Line.from_points(t, x + eps, t2, x2 - eps)
-                upper_slope = upper_line.slope
-                upper_intercept = upper_line.intercept
-                lower_slope = lower_line.slope
-                lower_intercept = lower_line.intercept
+                upper_slope, upper_intercept = line_through(t, x - eps, t2, x2 + eps)
+                lower_slope, lower_intercept = line_through(t, x + eps, t2, x2 - eps)
+                upper_line = lower_line = None
                 hull = IncrementalConvexHull()
                 hull_add = hull.add
                 hull_add(t, x)
@@ -554,20 +566,23 @@ class SlideFilter(StreamFilter):
             hull_add(t, x)
             updated = False
             if x > lower_value + eps:
-                chain_t, chain_x = hull.lower_chain()
-                lower_line, lower_hint = max_slope_lower_tangent_search(
-                    chain_t, chain_x, t, x, eps, current=lower_line, hint=lower_hint
+                slope, intercept, lower_hint = max_slope_lower_support(
+                    *hull.lower_chain(), t, x, eps, lower_hint
                 )
-                lower_slope = float(lower_line.slope)
-                lower_intercept = float(lower_line.intercept)
+                # The current bound stays only when strictly steeper.
+                if not lower_slope > slope:
+                    lower_slope = slope
+                    lower_intercept = intercept
+                    lower_line = None
                 updated = True
             if x < upper_value - eps:
-                chain_t, chain_x = hull.upper_chain()
-                upper_line, upper_hint = min_slope_upper_tangent_search(
-                    chain_t, chain_x, t, x, eps, current=upper_line, hint=upper_hint
+                slope, intercept, upper_hint = min_slope_upper_support(
+                    *hull.upper_chain(), t, x, eps, upper_hint
                 )
-                upper_slope = float(upper_line.slope)
-                upper_intercept = float(upper_line.intercept)
+                if not upper_slope < slope:
+                    upper_slope = slope
+                    upper_intercept = intercept
+                    upper_line = None
                 updated = True
             n += 1
             interval_points += 1
@@ -588,6 +603,10 @@ class SlideFilter(StreamFilter):
                 if silent_streak >= _PROBE_ENTER_STREAK and position < total:
                     switch = True
                     break
+        if upper_line is None:
+            upper_line = Line(upper_slope, upper_intercept)
+        if lower_line is None:
+            lower_line = Line(lower_slope, lower_intercept)
         self._upper = [upper_line]
         self._lower = [lower_line]
         self._hulls = [hull]
@@ -1004,13 +1023,18 @@ class SlideFilter(StreamFilter):
     def _preferred_connection_time(
         self, dimension: int, apex: Tuple[float, float], g_prev: Line
     ) -> Optional[float]:
-        """Where the MSE-optimal admissible segment would meet ``gᵏ⁻¹``."""
+        """Where the MSE-optimal admissible segment would meet ``gᵏ⁻¹``.
+
+        ``None`` when the two never meet at a finite time: parallel, or with
+        slopes so close (a subnormal apart) that the crossing overflows.
+        """
         t_z, x_z = apex
         slope = self._clamped_mse_slope(
             dimension, t_z, x_z, self._upper[dimension].slope, self._lower[dimension].slope
         )
         candidate = Line.from_point_slope(t_z, x_z, slope)
-        return candidate.intersection_time(g_prev)
+        crossing = candidate.intersection_time(g_prev)
+        return crossing if crossing is not None and math.isfinite(crossing) else None
 
     def _attempt_tail_connection(self, apexes: List[Tuple[float, float]]) -> Optional[List[Line]]:
         """Join ``gᵏ`` to ``gᵏ⁻¹`` inside interval k-1 (Lemma 4.4)."""
@@ -1157,21 +1181,20 @@ class SlideFilter(StreamFilter):
     def _points_within(self, times: List[float], values: list, lines: List[Line]) -> bool:
         """Whether every buffered point lies within ε of ``lines`` (with slack).
 
-        One vectorized kernel sweep instead of a per-point loop; the buffers
-        become arrays only here, for the few closes that get this far.
+        A float loop per dimension over the buffered points, testing
+        ``|line(t) - x| <= ε + slack · ((1 + |x|) + ε)`` in that operand
+        order.  1-D buffers hold floats; wider ones hold ``(d,)`` rows.
         """
-        matrix = np.asarray(values, dtype=float)
-        if matrix.ndim == 1:
-            matrix = matrix.reshape(-1, 1)
-        within = kernels.within_epsilon_mask(
-            np.asarray(times, dtype=float),
-            matrix,
-            np.array([line.slope for line in lines]),
-            np.array([line.intercept for line in lines]),
-            self._epsilon_array(),
-            _VALIDATION_SLACK,
-        )
-        return bool(within.all())
+        columns = [values] if self._dimensions == 1 else zip(*(row.tolist() for row in values))
+        for column, line, eps in zip(columns, lines, self._epsilon_list()):
+            slope = line.slope
+            intercept = line.intercept
+            for t, x in zip(times, column):
+                if not abs((t * slope + intercept) - x) <= eps + _VALIDATION_SLACK * (
+                    (1.0 + abs(x)) + eps
+                ):
+                    return False
+        return True
 
     def _flush_previous_segment(self) -> None:
         """Emit the pending end recording of ``gᵏ⁻¹`` (disconnected case)."""

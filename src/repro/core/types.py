@@ -26,6 +26,9 @@ __all__ = [
 ]
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
 def as_value_vector(value) -> np.ndarray:
     """Coerce a scalar or sequence into a 1-D float vector.
 
@@ -35,6 +38,8 @@ def as_value_vector(value) -> np.ndarray:
     Raises:
         ValueError: If the value is not a scalar or 1-D sequence of numbers.
     """
+    if type(value) is np.ndarray and value.ndim == 1 and value.dtype is _FLOAT64:
+        return value  # what the conversion below returns for it, minus two dispatches
     array = np.atleast_1d(np.asarray(value, dtype=float))
     if array.ndim != 1:
         raise ValueError(f"signal values must be scalars or 1-D vectors, got shape {array.shape}")

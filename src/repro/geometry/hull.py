@@ -8,14 +8,15 @@ monotone-chain ("Andrew") incremental update: the new point is appended to
 both the upper and the lower chain and previously inserted vertices that no
 longer form a convex turn are popped from the tail.
 
-The chains are stored as preallocated numpy arrays (``t`` and ``x`` columns
-per chain), not Python tuple lists: the slide filter's batch path inserts
-whole runs of points at once through :meth:`IncrementalConvexHull.add_many`,
-whose monotone-chain pops are computed with *array* cross-products — each
-pass removes every vertex whose tail triple makes the wrong turn in one
-vectorized sweep, so a silent run costs no per-point Python dispatch.  The
-array layout also lets the tangent searches in :mod:`repro.geometry.tangents`
-binary-search the chains directly (O(log m_H) per bound update).
+The chains are stored as Python float lists (``t`` and ``x`` columns per
+chain): the per-point update is a handful of list reads, pops and appends,
+and the tangent searches in :mod:`repro.geometry.tangents` index the lists
+directly (O(log m_H) per bound update).  The slide filter's batch path also
+inserts whole runs of silent points at once through
+:meth:`IncrementalConvexHull.add_many`; long runs are merged with *array*
+cross-products — each pass removes every vertex whose tail triple makes the
+wrong turn in one vectorized sweep, so a silent run costs no per-point
+Python dispatch.
 
 Amortised cost is O(1) per point either way; each point is pushed and popped
 at most once per chain.
@@ -31,12 +32,9 @@ __all__ = ["IncrementalConvexHull", "cross_product"]
 
 Point = Tuple[float, float]
 
-#: Initial capacity of a chain's coordinate arrays.
-_INITIAL_CAPACITY = 16
-
-#: Pending flushes up to this many points walk a Python-list monotone chain
-#: (cheap pops/appends, one array store at the end); the vectorized
-#: cross-product merge only wins beyond it.
+#: Pending flushes up to this many points are pushed one by one through the
+#: scalar monotone-chain step; the vectorized cross-product merge only wins
+#: beyond it.
 _SCALAR_MERGE_LIMIT = 128
 
 #: Deferred bulk appends are merged eagerly once this many points are
@@ -100,28 +98,34 @@ class IncrementalConvexHull:
     """
 
     def __init__(self, points: Iterable[Point] = ()) -> None:
-        self._upper_t = np.empty(_INITIAL_CAPACITY)
-        self._upper_x = np.empty(_INITIAL_CAPACITY)
-        self._upper_len = 0
-        self._lower_t = np.empty(_INITIAL_CAPACITY)
-        self._lower_x = np.empty(_INITIAL_CAPACITY)
-        self._lower_len = 0
+        self._upper_t: List[float] = []
+        self._upper_x: List[float] = []
+        self._lower_t: List[float] = []
+        self._lower_x: List[float] = []
         #: Bulk appends accepted but not yet merged into the chains (lists of
-        #: time/value arrays).  Merging costs one vectorized sweep regardless
-        #: of how many runs accumulated, so it is deferred until a chain is
-        #: actually read — consecutive silent runs then share one merge.
+        #: time/value arrays).  Merging a long run costs one vectorized sweep
+        #: regardless of how many runs accumulated, so it is deferred until a
+        #: chain is actually read — consecutive silent runs then share one
+        #: merge.
         self._pending_t: List[np.ndarray] = []
         self._pending_x: List[np.ndarray] = []
         self._pending_count = 0
-        #: Cached last two vertices of each chain as plain floats
-        #: ``[t_-2, x_-2, t_-1, x_-1]`` (``None`` when stale or < 2 vertices):
-        #: the no-pop turn test in :meth:`add` then needs no array reads.
-        self._upper_tail: List[float] | None = None
-        self._lower_tail: List[float] | None = None
         self._count = 0
         self._last_time: float | None = None
         for t, x in points:
             self.add(t, x)
+
+    def __setstate__(self, state: dict) -> None:
+        # Snapshots pickled while the chains lived in capacity-padded numpy
+        # arrays also carry the used lengths and cached tail vertices.
+        if "_upper_len" in state:
+            state = dict(state)
+            for prefix in ("_upper", "_lower"):
+                length = state.pop(prefix + "_len")
+                state[prefix + "_t"] = state[prefix + "_t"][:length].tolist()
+                state[prefix + "_x"] = state[prefix + "_x"][:length].tolist()
+                state.pop(prefix + "_tail", None)
+        self.__dict__.update(state)
 
     # ------------------------------------------------------------------ #
     # Mutation
@@ -141,160 +145,49 @@ class IncrementalConvexHull:
         if self._pending_t:
             self._flush()
         self._last_time = t = float(t)
-        x = float(x)
-        # Both chains inline: the classic monotone-chain update — pop the
-        # tail while the triple (chain[-2], chain[-1], new) does not make a
-        # strictly convex turn — on plain Python floats.  The cached tail
-        # makes the common no-pop append array-read free (this is the slide
-        # filter's per-point hot path).
-        times = self._upper_t
-        values = self._upper_x
-        length = self._upper_len
-        tail = self._upper_tail
-        if length >= 2:
-            if tail is None:
-                item_t = times.item
-                item_x = values.item
-                tail = [
-                    item_t(length - 2), item_x(length - 2),
-                    item_t(length - 1), item_x(length - 1),
-                ]
-            o_t, o_x, a_t, a_x = tail
-            # Keep clockwise turns: cross(chain[-2], chain[-1], new) < 0.
-            if (a_t - o_t) * (x - o_x) - (a_x - o_x) * (t - o_t) < 0.0:
-                tail[0] = a_t
-                tail[1] = a_x
-                tail[2] = t
-                tail[3] = x
-                self._upper_tail = tail
-            else:
-                length -= 1
-                a_t, a_x = o_t, o_x
-                item_t = times.item
-                item_x = values.item
-                while length >= 2:
-                    o_t = item_t(length - 2)
-                    o_x = item_x(length - 2)
-                    if (a_t - o_t) * (x - o_x) - (a_x - o_x) * (t - o_t) < 0.0:
-                        break
-                    length -= 1
-                    a_t, a_x = o_t, o_x
-                self._upper_tail = [a_t, a_x, t, x] if length >= 1 else None
-        else:
-            self._upper_tail = (
-                [times.item(0), values.item(0), t, x] if length == 1 else None
-            )
-        if length == times.shape[0]:
-            times, values = self._grow("_upper", 2 * length)
-        times[length] = t
-        values[length] = x
-        self._upper_len = length + 1
-        times = self._lower_t
-        values = self._lower_x
-        length = self._lower_len
-        tail = self._lower_tail
-        if length >= 2:
-            if tail is None:
-                item_t = times.item
-                item_x = values.item
-                tail = [
-                    item_t(length - 2), item_x(length - 2),
-                    item_t(length - 1), item_x(length - 1),
-                ]
-            o_t, o_x, a_t, a_x = tail
-            # Keep counter-clockwise turns: cross(...) > 0.
-            if (a_t - o_t) * (x - o_x) - (a_x - o_x) * (t - o_t) > 0.0:
-                tail[0] = a_t
-                tail[1] = a_x
-                tail[2] = t
-                tail[3] = x
-                self._lower_tail = tail
-            else:
-                length -= 1
-                a_t, a_x = o_t, o_x
-                item_t = times.item
-                item_x = values.item
-                while length >= 2:
-                    o_t = item_t(length - 2)
-                    o_x = item_x(length - 2)
-                    if (a_t - o_t) * (x - o_x) - (a_x - o_x) * (t - o_t) > 0.0:
-                        break
-                    length -= 1
-                    a_t, a_x = o_t, o_x
-                self._lower_tail = [a_t, a_x, t, x] if length >= 1 else None
-        else:
-            self._lower_tail = (
-                [times.item(0), values.item(0), t, x] if length == 1 else None
-            )
-        if length == times.shape[0]:
-            times, values = self._grow("_lower", 2 * length)
-        times[length] = t
-        values[length] = x
-        self._lower_len = length + 1
+        self._push(t, float(x))
         self._count += 1
 
-    def _merge_small(
-        self, prefix: str, keep_turn: float, time_list: List[float], value_list: List[float]
-    ) -> None:
-        """Walk a short pending batch into one chain on Python lists.
+    def _push(self, t: float, x: float) -> None:
+        """The monotone-chain step for one point, on both chains.
 
-        The classic monotone-chain stack on list floats (pops and appends are
-        a few tens of nanoseconds each), stored back into the chain arrays
-        with two slice writes at the end.
+        Pops each chain's tail while the triple ``(chain[-2], chain[-1],
+        new)`` does not make a strictly convex turn, then appends the point.
         """
-        length = getattr(self, prefix + "_len")
-        chain_times = getattr(self, prefix + "_t")
-        chain_values = getattr(self, prefix + "_x")
-        stack_t = chain_times[:length].tolist()
-        stack_x = chain_values[:length].tolist()
-        pop_t = stack_t.pop
-        pop_x = stack_x.pop
-        push_t = stack_t.append
-        push_x = stack_x.append
-        for t, x in zip(time_list, value_list):
-            size = len(stack_t)
-            while size >= 2:
-                o_t = stack_t[size - 2]
-                o_x = stack_x[size - 2]
-                turn = (stack_t[size - 1] - o_t) * (x - o_x) - (
-                    stack_x[size - 1] - o_x
-                ) * (t - o_t)
-                if turn * keep_turn > 0.0:
-                    break
-                pop_t()
-                pop_x()
-                size -= 1
-            push_t(t)
-            push_x(x)
-        size = len(stack_t)
-        if size > chain_times.shape[0]:
-            chain_times, chain_values = self._grow(prefix, 2 * size)
-        chain_times[:size] = stack_t
-        chain_values[:size] = stack_x
-        setattr(self, prefix + "_len", size)
-
-    def _grow(self, prefix: str, capacity: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Grow one chain's coordinate arrays to ``capacity`` slots."""
-        times = np.empty(capacity)
-        values = np.empty(capacity)
-        old_t = getattr(self, prefix + "_t")
-        old_x = getattr(self, prefix + "_x")
-        copy = min(old_t.shape[0], capacity)
-        times[:copy] = old_t[:copy]
-        values[:copy] = old_x[:copy]
-        setattr(self, prefix + "_t", times)
-        setattr(self, prefix + "_x", values)
-        return times, values
+        times = self._upper_t
+        values = self._upper_x
+        while len(times) > 1:
+            o_t = times[-2]
+            o_x = values[-2]
+            # Keep clockwise turns: cross(chain[-2], chain[-1], new) < 0.
+            if (times[-1] - o_t) * (x - o_x) - (values[-1] - o_x) * (t - o_t) < 0.0:
+                break
+            times.pop()
+            values.pop()
+        times.append(t)
+        values.append(x)
+        times = self._lower_t
+        values = self._lower_x
+        while len(times) > 1:
+            o_t = times[-2]
+            o_x = values[-2]
+            # Keep counter-clockwise turns: cross(...) > 0.
+            if (times[-1] - o_t) * (x - o_x) - (values[-1] - o_x) * (t - o_t) > 0.0:
+                break
+            times.pop()
+            values.pop()
+        times.append(t)
+        values.append(x)
 
     def add_many(self, times, values) -> None:
         """Bulk-append a run of points with strictly increasing times.
 
         Equivalent to ``for t, x in zip(times, values): hull.add(t, x)`` —
         both reduce to the strictly convex chain over the same point sequence
-        — but the monotone-chain pops run as array cross-product sweeps
-        (:func:`_merge_chain`), so the amortized cost per point carries no
-        Python dispatch.  The merge itself is deferred until a chain is read:
-        consecutive bulk appends share one sweep.
+        — but a long run's monotone-chain pops run as array cross-product
+        sweeps (:func:`_merge_chain`), so the amortized cost per point carries
+        no Python dispatch.  The merge itself is deferred until a chain is
+        read: consecutive bulk appends share one sweep.
 
         Raises:
             ValueError: If the times are not strictly increasing or do not
@@ -329,11 +222,12 @@ class IncrementalConvexHull:
             self._flush()
 
     def _flush(self) -> None:
-        """Merge the pending bulk appends into the chain arrays.
+        """Merge the pending bulk appends into the chains.
 
-        Short pendings walk the scalar monotone-chain append (the vectorized
-        sweeps cost ~10 numpy dispatches per pass regardless of size); long
-        ones run the array cross-product merge.
+        Short pendings are pushed point by point (the vectorized sweeps cost
+        ~10 numpy dispatches per pass regardless of size); long ones run the
+        array cross-product merge on each chain, turned into an array once
+        and back into a list after.
         """
         pending_t = self._pending_t
         if not pending_t:
@@ -344,39 +238,30 @@ class IncrementalConvexHull:
         self._pending_t = []
         self._pending_x = []
         self._pending_count = 0
-        self._upper_tail = None
-        self._lower_tail = None
         if times.shape[0] <= _SCALAR_MERGE_LIMIT:
-            time_list = times.tolist()
-            value_list = values.tolist()
-            self._merge_small("_upper", -1.0, time_list, value_list)
-            self._merge_small("_lower", +1.0, time_list, value_list)
+            push = self._push
+            for t, x in zip(times.tolist(), values.tolist()):
+                push(t, x)
             return
-        for prefix, length, keep_turn in (
-            ("_upper", self._upper_len, -1.0),
-            ("_lower", self._lower_len, +1.0),
+        for chain_t, chain_x, keep_turn in (
+            (self._upper_t, self._upper_x, -1.0),
+            (self._lower_t, self._lower_x, +1.0),
         ):
-            chain_t = getattr(self, prefix + "_t")
-            chain_x = getattr(self, prefix + "_x")
-            merged_t = np.concatenate([chain_t[:length], times])
-            merged_x = np.concatenate([chain_x[:length], values])
-            merged_t, merged_x = _merge_chain(merged_t, merged_x, keep_turn)
-            size = merged_t.shape[0]
-            if size > chain_t.shape[0]:
-                chain_t, chain_x = self._grow(prefix, max(2 * size, _INITIAL_CAPACITY))
-            chain_t[:size] = merged_t
-            chain_x[:size] = merged_x
-            setattr(self, prefix + "_len", size)
+            merged_t, merged_x = _merge_chain(
+                np.concatenate((chain_t, times)), np.concatenate((chain_x, values)), keep_turn
+            )
+            chain_t[:] = merged_t.tolist()
+            chain_x[:] = merged_x.tolist()
 
     def clear(self) -> None:
         """Forget all points (start of a new filtering interval)."""
-        self._upper_len = 0
-        self._lower_len = 0
+        self._upper_t = []
+        self._upper_x = []
+        self._lower_t = []
+        self._lower_x = []
         self._pending_t = []
         self._pending_x = []
         self._pending_count = 0
-        self._upper_tail = None
-        self._lower_tail = None
         self._count = 0
         self._last_time = None
 
@@ -388,40 +273,33 @@ class IncrementalConvexHull:
         """Vertices of the upper chain, ordered by time."""
         if self._pending_t:
             self._flush()
-        return tuple(
-            zip(
-                self._upper_t[: self._upper_len].tolist(),
-                self._upper_x[: self._upper_len].tolist(),
-            )
-        )
+        return tuple(zip(self._upper_t, self._upper_x))
 
     @property
     def lower(self) -> Sequence[Point]:
         """Vertices of the lower chain, ordered by time."""
         if self._pending_t:
             self._flush()
-        return tuple(
-            zip(
-                self._lower_t[: self._lower_len].tolist(),
-                self._lower_x[: self._lower_len].tolist(),
-            )
-        )
+        return tuple(zip(self._lower_t, self._lower_x))
 
-    def upper_chain(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Upper-chain coordinate arrays ``(times, values)``, ordered by time.
+    def upper_chain(self) -> Tuple[List[float], List[float]]:
+        """Upper-chain coordinate lists ``(times, values)``, ordered by time.
 
-        Read-only views into the hull's buffers, valid until the next
-        mutation; used by the array tangent searches.
+        The hull's own lists, returned without a copy for the tangent
+        searches: read-only, and valid until the next mutation.
         """
         if self._pending_t:
             self._flush()
-        return self._upper_t[: self._upper_len], self._upper_x[: self._upper_len]
+        return self._upper_t, self._upper_x
 
-    def lower_chain(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Lower-chain coordinate arrays ``(times, values)``, ordered by time."""
+    def lower_chain(self) -> Tuple[List[float], List[float]]:
+        """Lower-chain coordinate lists ``(times, values)``, ordered by time.
+
+        Read-only and valid until the next mutation, like :meth:`upper_chain`.
+        """
         if self._pending_t:
             self._flush()
-        return self._lower_t[: self._lower_len], self._lower_x[: self._lower_len]
+        return self._lower_t, self._lower_x
 
     @property
     def size(self) -> int:
@@ -443,7 +321,7 @@ class IncrementalConvexHull:
         """Return all distinct hull vertices ordered by time."""
         if self._pending_t:
             self._flush()
-        if not self._upper_len:
+        if not self._upper_t:
             return []
         merged = dict.fromkeys(self.upper)
         merged.update(dict.fromkeys(self.lower))
@@ -455,12 +333,12 @@ class IncrementalConvexHull:
             return False
         if self._pending_t:
             self._flush()
-        return self._upper_t[0] <= t <= self._upper_t[self._upper_len - 1]
+        return self._upper_t[0] <= t <= self._upper_t[-1]
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         if self._pending_t:
             self._flush()
         return (
             f"IncrementalConvexHull(points={self._count}, "
-            f"upper={self._upper_len}, lower={self._lower_len})"
+            f"upper={len(self._upper_t)}, lower={len(self._lower_t)})"
         )

@@ -13,12 +13,27 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-__all__ = ["Line", "EPSILON_TIME"]
+__all__ = ["Line", "EPSILON_TIME", "line_through"]
 
 #: Two intersection/evaluation times closer than this are considered equal.
 #: Data timestamps are required to be strictly increasing by at least the
 #: caller's resolution, so this only guards pure floating-point noise.
 EPSILON_TIME = 1e-12
+
+
+def line_through(t1: float, x1: float, t2: float, x2: float) -> Tuple[float, float]:
+    """``(slope, intercept)`` of the line through ``(t1, x1)`` and ``(t2, x2)``.
+
+    The float form of :meth:`Line.from_points`, for callers that keep a
+    line as two numbers.
+
+    Raises:
+        ValueError: If ``t1`` and ``t2`` are within :data:`EPSILON_TIME`.
+    """
+    if math.isclose(t1, t2, rel_tol=0.0, abs_tol=EPSILON_TIME):
+        raise ValueError(f"cannot build a line from two points with equal time {t1!r}")
+    slope = (x2 - x1) / (t2 - t1)
+    return slope, x1 - slope * t1
 
 
 @dataclass(frozen=True)
@@ -48,13 +63,7 @@ class Line:
             ValueError: If ``t1 == t2`` (the line would be vertical and cannot
                 be represented as a function of ``t``).
         """
-        if math.isclose(t1, t2, rel_tol=0.0, abs_tol=EPSILON_TIME):
-            raise ValueError(
-                f"cannot build a line from two points with equal time {t1!r}"
-            )
-        slope = (x2 - x1) / (t2 - t1)
-        intercept = x1 - slope * t1
-        return cls(slope, intercept)
+        return cls(*line_through(t1, x1, t2, x2))
 
     @classmethod
     def from_point_slope(cls, t: float, x: float, slope: float) -> "Line":

@@ -17,23 +17,27 @@ points need to be considered.  Two families of helpers implement the search:
   :func:`max_slope_lower_line`), which examine every support point — O(m)
   per call.  The non-optimized slide variant (all interval points as
   support) still uses these.
-* Array tangent searches over a convex chain
+* Tangent searches over a convex chain
   (:func:`min_slope_upper_tangent` / :func:`max_slope_lower_tangent`):
   because the candidate slope is strictly unimodal along a strictly convex
   chain, the extremal support vertex is found with a binary search over the
-  chain's coordinate arrays — O(log m_H) per bound update, beating the
+  chain's coordinate lists — O(log m_H) per bound update, beating the
   paper's O(m_H) bound.  The optimized slide filter feeds these the chains
   of :class:`repro.geometry.hull.IncrementalConvexHull` directly.  The
   ``*_search`` variants additionally return the winning support index so
   consecutive updates can warm-start each other: the extremal vertex is
   usually unchanged between calls, collapsing the search to O(1).
+
+Each direction has one float core (:func:`min_slope_upper_support` /
+:func:`max_slope_lower_support`) that returns the tangent as a
+``(slope, intercept, support_index)`` triple of Python numbers; the
+``Line``-returning functions wrap it, and the slide filter's 1-D batch core
+calls it directly.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.geometry.lines import Line
 
@@ -44,6 +48,8 @@ __all__ = [
     "max_slope_lower_tangent",
     "min_slope_upper_tangent_search",
     "max_slope_lower_tangent_search",
+    "min_slope_upper_support",
+    "max_slope_lower_support",
     "candidate_upper_lines",
     "candidate_lower_lines",
 ]
@@ -140,9 +146,122 @@ def max_slope_lower_line(
 # --------------------------------------------------------------------------- #
 # O(log m) tangent searches over a convex chain
 # --------------------------------------------------------------------------- #
+def min_slope_upper_support(
+    chain_t: Sequence[float],
+    chain_x: Sequence[float],
+    t_new: float,
+    x_new: float,
+    epsilon: float,
+    hint: Optional[int],
+) -> Optional[Tuple[float, float, int]]:
+    """Float core of the upper tangent search.
+
+    Returns ``(slope, intercept, support_index)`` of the minimum-slope line
+    through a shifted chain vertex ``(t_i, x_i - eps)`` and the shifted new
+    point ``(t_new, x_new + eps)`` — exactly ``Line.from_points`` of the two —
+    or ``None`` when no chain vertex precedes ``t_new``.  See
+    :func:`min_slope_upper_tangent_search` for the arguments, which that
+    wrapper converts to Python floats first.
+    """
+    count = len(chain_t)
+    while count > 0 and chain_t[count - 1] >= t_new:
+        count -= 1
+    if count == 0:
+        return None
+    shifted_new = x_new + epsilon
+    low = 0
+    high = count - 1
+    # f(i) — the candidate slope through (chain[i] - eps) and the shifted
+    # new point — is strictly unimodal along the convex chain, so the
+    # predicate g(i) = f(i) <= f(i+1) is monotone false->true and the
+    # extremal support is the leftmost index where g holds.
+    if hint is not None and low < high:
+        pivot = hint if hint < high else high
+        if pivot < low:
+            pivot = low
+        here = (shifted_new - (chain_x[pivot] - epsilon)) / (t_new - chain_t[pivot])
+        # g(high) is vacuously true — the valley is never right of high.
+        if pivot == high or here <= (
+            shifted_new - (chain_x[pivot + 1] - epsilon)
+        ) / (t_new - chain_t[pivot + 1]):
+            if pivot == low or (
+                shifted_new - (chain_x[pivot - 1] - epsilon)
+            ) / (t_new - chain_t[pivot - 1]) > here:
+                low = high = pivot  # hint hit: still the leftmost valley
+            else:
+                high = pivot - 1  # valley strictly left of the hint
+        else:
+            low = pivot + 1  # valley strictly right of the hint
+    while low < high:
+        mid = (low + high) >> 1
+        if (shifted_new - (chain_x[mid] - epsilon)) / (t_new - chain_t[mid]) <= (
+            shifted_new - (chain_x[mid + 1] - epsilon)
+        ) / (t_new - chain_t[mid + 1]):
+            high = mid
+        else:
+            low = mid + 1
+    # Line.from_points(t_i, x_i - eps, t_new, x_new + eps); the support time
+    # is strictly earlier than t_new, so no degeneracy check.
+    t_support = chain_t[low]
+    x_support = chain_x[low] - epsilon
+    slope = (shifted_new - x_support) / (t_new - t_support)
+    return slope, x_support - slope * t_support, low
+
+
+def max_slope_lower_support(
+    chain_t: Sequence[float],
+    chain_x: Sequence[float],
+    t_new: float,
+    x_new: float,
+    epsilon: float,
+    hint: Optional[int],
+) -> Optional[Tuple[float, float, int]]:
+    """Float core of the lower tangent search.
+
+    Mirror image of :func:`min_slope_upper_support`: the maximum-slope line
+    through ``(t_i, x_i + eps)`` and ``(t_new, x_new - eps)``.
+    """
+    count = len(chain_t)
+    while count > 0 and chain_t[count - 1] >= t_new:
+        count -= 1
+    if count == 0:
+        return None
+    shifted_new = x_new - epsilon
+    low = 0
+    high = count - 1
+    if hint is not None and low < high:
+        pivot = hint if hint < high else high
+        if pivot < low:
+            pivot = low
+        here = (shifted_new - (chain_x[pivot] + epsilon)) / (t_new - chain_t[pivot])
+        if pivot == high or here >= (
+            shifted_new - (chain_x[pivot + 1] + epsilon)
+        ) / (t_new - chain_t[pivot + 1]):
+            if pivot == low or (
+                shifted_new - (chain_x[pivot - 1] + epsilon)
+            ) / (t_new - chain_t[pivot - 1]) < here:
+                low = high = pivot
+            else:
+                high = pivot - 1
+        else:
+            low = pivot + 1
+    while low < high:
+        mid = (low + high) >> 1
+        if (shifted_new - (chain_x[mid] + epsilon)) / (t_new - chain_t[mid]) >= (
+            shifted_new - (chain_x[mid + 1] + epsilon)
+        ) / (t_new - chain_t[mid + 1]):
+            high = mid
+        else:
+            low = mid + 1
+    t_support = chain_t[low]
+    x_support = chain_x[low] + epsilon
+    slope = (shifted_new - x_support) / (t_new - t_support)
+    return slope, x_support - slope * t_support, low
+
+
 def min_slope_upper_tangent_search(
-    chain_t: np.ndarray,
-    chain_x: np.ndarray,
+    chain_t: Sequence[float],
+    chain_x: Sequence[float],
     t_new: float,
     x_new: float,
     epsilon: float,
@@ -178,59 +297,22 @@ def min_slope_upper_tangent_search(
     Raises:
         ValueError: If there is no support vertex and no ``current`` line.
     """
-    time_at = chain_t.item
-    value_at = chain_x.item
-    count = chain_t.shape[0]
-    t_new = float(t_new)
-    while count > 0 and time_at(count - 1) >= t_new:
-        count -= 1
-    if count == 0:
+    found = min_slope_upper_support(
+        chain_t, chain_x, float(t_new), float(x_new), float(epsilon), hint
+    )
+    if found is None:
         if current is None:
             raise ValueError("no support points available to build an upper bound")
         return current, -1
-    epsilon = float(epsilon)
-    shifted_new = float(x_new) + epsilon
-    low = 0
-    high = count - 1
-
-    # f(i) — the candidate slope through (chain[i] - eps) and the shifted
-    # new point — is strictly unimodal along the convex chain, so the
-    # predicate g(i) = f(i) <= f(i+1) is monotone false->true and the
-    # extremal support is the leftmost index where g holds.
-    def slope_at(index: int) -> float:
-        return (shifted_new - (value_at(index) - epsilon)) / (t_new - time_at(index))
-
-    if hint is not None and low < high:
-        pivot = hint if hint < high else high
-        if pivot < low:
-            pivot = low
-        # g(high) is vacuously true — the valley is never right of high.
-        if pivot == high or slope_at(pivot) <= slope_at(pivot + 1):
-            if pivot == low or slope_at(pivot - 1) > slope_at(pivot):
-                low = high = pivot  # hint hit: still the leftmost valley
-            else:
-                high = pivot - 1  # valley strictly left of the hint
-        else:
-            low = pivot + 1  # valley strictly right of the hint
-    while low < high:
-        mid = (low + high) >> 1
-        if slope_at(mid) <= slope_at(mid + 1):
-            high = mid
-        else:
-            low = mid + 1
-    # Exactly Line.from_points(t_i, x_i - eps, t_new, x_new + eps); the
-    # support time is strictly earlier than t_new, so no degeneracy check.
-    t_support = time_at(low)
-    x_support = value_at(low) - epsilon
-    slope = (shifted_new - x_support) / (t_new - t_support)
+    slope, intercept, index = found
     if current is not None and current.slope < slope:
-        return current, low
-    return Line(slope, x_support - slope * t_support), low
+        return current, index
+    return Line(slope, intercept), index
 
 
 def max_slope_lower_tangent_search(
-    chain_t: np.ndarray,
-    chain_x: np.ndarray,
+    chain_t: Sequence[float],
+    chain_x: Sequence[float],
     t_new: float,
     x_new: float,
     epsilon: float,
@@ -242,58 +324,28 @@ def max_slope_lower_tangent_search(
     Mirror image of :func:`min_slope_upper_tangent_search`; see that
     function for the parameter description and the warm-start contract.
     """
-    time_at = chain_t.item
-    value_at = chain_x.item
-    count = chain_t.shape[0]
-    t_new = float(t_new)
-    while count > 0 and time_at(count - 1) >= t_new:
-        count -= 1
-    if count == 0:
+    found = max_slope_lower_support(
+        chain_t, chain_x, float(t_new), float(x_new), float(epsilon), hint
+    )
+    if found is None:
         if current is None:
             raise ValueError("no support points available to build a lower bound")
         return current, -1
-    epsilon = float(epsilon)
-    shifted_new = float(x_new) - epsilon
-    low = 0
-    high = count - 1
-
-    def slope_at(index: int) -> float:
-        return (shifted_new - (value_at(index) + epsilon)) / (t_new - time_at(index))
-
-    if hint is not None and low < high:
-        pivot = hint if hint < high else high
-        if pivot < low:
-            pivot = low
-        if pivot == high or slope_at(pivot) >= slope_at(pivot + 1):
-            if pivot == low or slope_at(pivot - 1) < slope_at(pivot):
-                low = high = pivot
-            else:
-                high = pivot - 1
-        else:
-            low = pivot + 1
-    while low < high:
-        mid = (low + high) >> 1
-        if slope_at(mid) >= slope_at(mid + 1):
-            high = mid
-        else:
-            low = mid + 1
-    t_support = time_at(low)
-    x_support = value_at(low) + epsilon
-    slope = (shifted_new - x_support) / (t_new - t_support)
+    slope, intercept, index = found
     if current is not None and current.slope > slope:
-        return current, low
-    return Line(slope, x_support - slope * t_support), low
+        return current, index
+    return Line(slope, intercept), index
 
 
 def min_slope_upper_tangent(
-    chain_t: np.ndarray,
-    chain_x: np.ndarray,
+    chain_t: Sequence[float],
+    chain_x: Sequence[float],
     t_new: float,
     x_new: float,
     epsilon: float,
     current: Optional[Line] = None,
 ) -> Line:
-    """Array variant of :func:`min_slope_upper_line` over a convex upper chain.
+    """Chain variant of :func:`min_slope_upper_line` over a convex upper chain.
 
     Cold-search convenience wrapper around
     :func:`min_slope_upper_tangent_search` (which also returns the support
@@ -306,14 +358,14 @@ def min_slope_upper_tangent(
 
 
 def max_slope_lower_tangent(
-    chain_t: np.ndarray,
-    chain_x: np.ndarray,
+    chain_t: Sequence[float],
+    chain_x: Sequence[float],
     t_new: float,
     x_new: float,
     epsilon: float,
     current: Optional[Line] = None,
 ) -> Line:
-    """Array variant of :func:`max_slope_lower_line` over a convex lower chain.
+    """Chain variant of :func:`max_slope_lower_line` over a convex lower chain.
 
     Cold-search convenience wrapper around
     :func:`max_slope_lower_tangent_search`.

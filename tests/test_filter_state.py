@@ -10,7 +10,10 @@ the points flow through ``feed`` or ``process_batch``, and whether a
 
 from __future__ import annotations
 
+import hashlib
 import pickle
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ import pytest
 from repro.core import FilterState, SlideFilter, SwingFilter
 from repro.core.errors import FilterStateError
 from repro.core.registry import FILTER_REGISTRY, create_filter, restore_filter
+from repro.geometry.hull import IncrementalConvexHull
 
 ALL_FILTERS = sorted(FILTER_REGISTRY)
 
@@ -216,9 +220,13 @@ class TestSnapshotSemantics:
 def to_array_layout(state: FilterState) -> FilterState:
     """Rewrite a slide snapshot into the layout earlier releases pickled.
 
-    Those releases kept the moment sums as numpy arrays and the previous
+    Those releases kept the moment sums as numpy arrays, the previous
     interval's buffered points as a ``(times (n,), values (n, d))`` array
-    pair (the same ``state_version``), so checkpoints on disk look like this.
+    pair, and each hull chain in numpy arrays of 16 slots, doubled when
+    full, with the used lengths (``_upper_len``/``_lower_len``) and the
+    cached last two vertices (``_upper_tail``/``_lower_tail``) beside them —
+    all under the same ``state_version``, so checkpoints on disk look like
+    this.
     """
     payload = state.payload
     payload["_sum_x"] = np.array(payload["_sum_x"])
@@ -229,7 +237,35 @@ def to_array_layout(state: FilterState) -> FilterState:
         np.asarray(times, dtype=float),
         np.asarray(values, dtype=float).reshape(len(times), -1),
     )
+    payload["_hulls"] = [array_layout_hull(hull) for hull in payload["_hulls"]]
     return state
+
+
+def array_layout_hull(hull: IncrementalConvexHull) -> IncrementalConvexHull:
+    """The hull with its chains in the padded array layout of earlier releases."""
+    layout = dict(vars(hull))
+    for prefix in ("_upper", "_lower"):
+        times = layout.pop(prefix + "_t")
+        values = layout.pop(prefix + "_x")
+        length = len(times)
+        capacity = 16
+        while capacity < length:
+            capacity *= 2
+        # Slots past the used length held stale vertices; NaN makes any
+        # read of them show.
+        padded_t = np.full(capacity, np.nan)
+        padded_x = np.full(capacity, np.nan)
+        padded_t[:length] = times
+        padded_x[:length] = values
+        layout[prefix + "_t"] = padded_t
+        layout[prefix + "_x"] = padded_x
+        layout[prefix + "_len"] = length
+        layout[prefix + "_tail"] = (
+            [times[-2], values[-2], times[-1], values[-1]] if length >= 2 else None
+        )
+    old = IncrementalConvexHull.__new__(IncrementalConvexHull)
+    old.__dict__.update(layout)
+    return old
 
 
 class TestArrayLayoutSnapshots:
@@ -246,7 +282,9 @@ class TestArrayLayoutSnapshots:
         state = first.snapshot()
         assert state.payload["_upper"] is not None  # bounds open: mid-interval
         assert state.payload["_prev"].points is not None
-        state = pickle.loads(pickle.dumps(to_array_layout(state)))
+        state = to_array_layout(state)
+        assert state.payload["_hulls"][0]._upper_len >= 2
+        state = pickle.loads(pickle.dumps(state))
         assert isinstance(state.payload["_sum_x"], np.ndarray)
         assert state.payload["_prev"].points[1].shape[1] == dimensions
         second = restore_filter(state)
@@ -257,3 +295,71 @@ class TestArrayLayoutSnapshots:
                 recordings += second.feed(t, v)
         recordings += second.finish()
         assert recording_tuples(recordings) == reference
+
+
+#: Mid-interval slide snapshots pickled by the release whose hull kept its
+#: chains in padded numpy arrays: for each stream of :func:`fixture_stream`,
+#: split at :data:`FIXTURE_SPLIT` points, one snapshot taken after
+#: ``process_batch`` and one after ``feed()``, each with the sha256 (see
+#: :func:`recordings_sha256`) of that release's uninterrupted recordings from
+#: the split on.
+FIXTURE = Path(__file__).parent / "fixtures" / "slide_array_hull_states.pkl"
+FIXTURE_SPLIT = 611
+FIXTURE_EPSILON = 0.5
+
+
+def fixture_stream(name: str):
+    """A 1-D or 3-D walk, a hull-heavy arc (66 upper-chain vertices at the
+    split) or a slow drift (a bulk append still pending after the batch)."""
+    if name == "walk-3d":
+        return make_stream(seed=83, dimensions=3)
+    times, values = make_stream(seed=83)
+    if name == "arc":
+        values = 60.0 * np.sin(times / 300.0)
+    elif name == "drift":
+        values = np.cumsum(np.random.default_rng(83).normal(0.0, 0.05, times.shape[0]))
+    return times, values
+
+
+def recordings_sha256(recordings) -> str:
+    digest = hashlib.sha256()
+    for record in recordings:
+        digest.update(
+            struct.pack("<d", record.time)
+            + np.asarray(record.value, dtype=float).tobytes()
+            + record.kind.value.encode()
+        )
+    return digest.hexdigest()
+
+
+class TestArrayHullFixture:
+    """Snapshots pickled with array-layout hulls restore and continue.
+
+    ``IncrementalConvexHull.__setstate__`` turns their padded chain arrays
+    into the float lists the hull keeps now; without it the first insertion
+    fails or a chain read returns the stale padding.
+    """
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        raw = FIXTURE.read_bytes()
+        assert b"_upper_len" in raw  # the array layout, not today's
+        return {(case["stream"], case["path"]): case for case in pickle.loads(raw)}
+
+    @pytest.mark.parametrize("stream", ["walk-1d", "walk-3d", "arc", "drift"])
+    @pytest.mark.parametrize("taken_after", ["batch", "feed"])
+    @pytest.mark.parametrize("continue_with", ["batch", "feed"])
+    def test_continues_bit_identically(self, cases, stream, taken_after, continue_with):
+        case = cases[(stream, taken_after)]
+        assert case["state"].config["epsilon"] == FIXTURE_EPSILON
+        times, values = fixture_stream(stream)
+        resumed = restore_filter(case["state"])
+        rest_t, rest_x = times[FIXTURE_SPLIT:], values[FIXTURE_SPLIT:]
+        if continue_with == "batch":
+            recordings = list(resumed.process_batch(rest_t, rest_x))
+        else:
+            recordings = []
+            for t, v in zip(rest_t, rest_x):
+                recordings += resumed.feed(t, v)
+        recordings += resumed.finish()
+        assert recordings_sha256(recordings) == case["tail_sha256"]
