@@ -33,7 +33,6 @@ from pathlib import Path
 #: belong here — the committed floor is meaningless for the others.
 HEADLINE = {
     "rolling_zoom": ("rolling_speedup",),
-    "tangent_hints": ("upper_speedup", "lower_speedup"),
     "query_engine": ("range_speedup",),
     "parallel_ingest": ("speedup",),
     # Normalized columnar-backend margin: min(read speedup / 3x floor,

@@ -7,15 +7,15 @@ of floating-point arithmetic the batch paths share with the per-point paths
 has to live in one place, written once and audited once.  This module is
 that place:
 
-* **Line evaluation** — :func:`evaluate_lines` is ``Line.value_at`` broadcast
-  over a window of timestamps and a family of per-dimension bounding lines.
-* **Violation scans** — :func:`slide_event_masks` classifies every point of a
-  probe window against the slide filter's bounding lines (hard violation vs
-  bound-update event); :func:`first_true` / :func:`swing_first_rejection`
-  locate the first event without a Python loop.  The swing scans
-  (:func:`swing_candidate_slopes`, :func:`swing_running_bounds`,
-  :func:`swing_first_rejection`) serve multi-dimensional streams only; a
-  one-dimensional swing stream runs a float-native core instead.
+* **Violation scans** — :func:`slide_event_masks_1d` classifies every point
+  of a probe window against a one-dimensional slide stream's bounding lines
+  (hard violation vs bound-update event; slide batches only one-dimensional
+  hull-mode streams, everything else takes the per-point step), and
+  :func:`first_true` / :func:`swing_first_rejection` locate the first event
+  without a Python loop.  The swing scans (:func:`swing_candidate_slopes`,
+  :func:`swing_running_bounds`, :func:`swing_first_rejection`) serve
+  multi-dimensional streams only; a one-dimensional swing stream runs a
+  float-native core instead.
 * **Moment accumulation** — :func:`fold_left_sum` / :func:`fold_left_sum_rows`
   are strict left folds: they add elements in exactly the per-point order
   (``((init + a0) + a1) + ...``), so the MSE moments match the per-point
@@ -42,8 +42,6 @@ from typing import Tuple
 import numpy as np
 
 __all__ = [
-    "evaluate_lines",
-    "slide_event_masks",
     "first_true",
     "fold_left_sum",
     "fold_left_sum_rows",
@@ -63,34 +61,22 @@ FOLD_BLOCK = 4096
 
 
 # --------------------------------------------------------------------------- #
-# Line evaluation and violation scans
+# Violation scans
 # --------------------------------------------------------------------------- #
-def evaluate_lines(
-    times: np.ndarray, slopes: np.ndarray, intercepts: np.ndarray
-) -> np.ndarray:
-    """Evaluate a family of lines at every timestamp of a window.
-
-    Computes ``out[k, i] = times[k] * slopes[i] + intercepts[i]`` — the same
-    expression as ``Line.value_at`` (multiplication is commutative bitwise),
-    broadcast over an ``(n,)`` window and ``(d,)`` per-dimension lines.
-    """
-    return times[:, None] * slopes + intercepts
-
-
-def slide_event_masks(
+def slide_event_masks_1d(
     values: np.ndarray,
     upper_values: np.ndarray,
     lower_values: np.ndarray,
-    epsilon: np.ndarray,
+    epsilon: float,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Classify a probe window against the slide filter's bounding lines.
+    """Classify a 1-D probe window against the slide filter's bounding lines.
 
     Args:
-        values: ``(n, d)`` window values.
-        upper_values: ``(n, d)`` upper bounding lines evaluated at the window
-            times (from :func:`evaluate_lines`).
-        lower_values: ``(n, d)`` lower bounding lines evaluated likewise.
-        epsilon: ``(d,)`` precision widths.
+        values: ``(n,)`` window values.
+        upper_values: ``(n,)`` upper bounding line evaluated at the window
+            times, ``times * slope + intercept`` (``Line.value_at``).
+        lower_values: ``(n,)`` lower bounding line evaluated likewise.
+        epsilon: The precision width.
 
     Returns:
         ``(violates, needs_update)`` boolean ``(n,)`` masks: *violates* marks
@@ -98,26 +84,6 @@ def slide_event_masks(
         *needs_update* marks points that force a bounding line to slide onto a
         new support point.  Exactly the acceptance arithmetic of
         ``SlideFilter._accepts`` / ``SlideFilter._update_bounds``.
-    """
-    violates = np.any(values > upper_values + epsilon, axis=1) | np.any(
-        values < lower_values - epsilon, axis=1
-    )
-    needs_update = np.any(values > lower_values + epsilon, axis=1) | np.any(
-        values < upper_values - epsilon, axis=1
-    )
-    return violates, needs_update
-
-
-def slide_event_masks_1d(
-    values: np.ndarray,
-    upper_values: np.ndarray,
-    lower_values: np.ndarray,
-    epsilon: float,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """One-dimensional :func:`slide_event_masks` on flat ``(n,)`` arrays.
-
-    Same elementwise IEEE arithmetic, about 4x fewer numpy dispatches (no
-    axis reductions, no broadcasting against a ``(d,)`` epsilon).
     """
     violates = (values > upper_values + epsilon) | (values < lower_values - epsilon)
     needs_update = (values > lower_values + epsilon) | (values < upper_values - epsilon)

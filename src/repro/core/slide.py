@@ -41,10 +41,10 @@ from repro.geometry.lines import Line, line_through
 from repro.geometry.tangents import (
     max_slope_lower_line,
     max_slope_lower_support,
-    max_slope_lower_tangent_search,
+    max_slope_lower_tangent,
     min_slope_upper_line,
     min_slope_upper_support,
-    min_slope_upper_tangent_search,
+    min_slope_upper_tangent,
 )
 
 __all__ = ["SlideFilter"]
@@ -52,19 +52,13 @@ __all__ = ["SlideFilter"]
 #: Relative slack used when verifying a connection against buffered points.
 _VALIDATION_SLACK = 1e-9
 
-#: Initial lookahead (in points) of the batch scan; doubled while no event is
-#: found, reset after each event.
+#: Initial lookahead (in points) of the batch probe; doubled while no event
+#: is found, reset after each event.
 _INITIAL_WINDOW = 64
 
-#: Consecutive zero-lookahead events before the batch scan drops to scalar
-#: stepping, and consecutive silent points before it resumes probing (the
-#: generic multi-dimensional path).
-_SCALAR_ENTER_EVENTS = 2
-_SCALAR_EXIT_STREAK = 8
-
-#: 1-D fast path: a probe that finds its event within this many points drops
-#: to the float-native scalar core, and the core returns to vectorized
-#: probing after this many consecutive silent points.  A probe costs ~10
+#: A probe that finds its event within this many points drops to the
+#: float-native scalar core, and the core returns to vectorized probing
+#: after this many consecutive silent points.  A probe costs ~10
 #: numpy dispatches regardless of the run length, so short runs are cheaper
 #: to walk in scalar code; silent stretches beyond the break-even length
 #: amortize the probe and are bulk-absorbed.
@@ -208,21 +202,11 @@ class SlideFilter(StreamFilter):
         self._upper: Optional[List[Line]] = None
         self._lower: Optional[List[Line]] = None
         self._hulls: Optional[List[IncrementalConvexHull]] = None
-        #: Per-dimension warm-start hints for the tangent binary searches —
-        #: the support index that won the previous bound update.  Pure
-        #: accelerator state: a stale (or missing) hint only changes how the
-        #: search narrows, never its result, so the hints are not part of
-        #: the serialized filter state.
-        self._upper_hints: Optional[List[int]] = None
-        self._lower_hints: Optional[List[int]] = None
         #: Buffered interval points as parallel time / value-vector lists
         #: (only kept when connection validation or the non-hull variant
         #: needs them).
         self._raw_times: Optional[List[float]] = None
         self._raw_values: Optional[list] = None
-        #: Per-interval cache of the bounding lines' slope/intercept arrays
-        #: (derived from ``_upper``/``_lower``; dropped on any bound change).
-        self._bound_cache: Optional[Tuple[np.ndarray, ...]] = None
         #: The resolved ε vector as Python floats (derived from ``_epsilon``).
         self._eps: Optional[List[float]] = None
         # Raw moments for the MSE-optimal slope through an arbitrary pivot
@@ -259,9 +243,7 @@ class SlideFilter(StreamFilter):
         self.validate_connections = config["validate_connections"]
 
     def _state_restored(self) -> None:
-        # The slope/intercept cache is derived from ``_upper``/``_lower``,
-        # which a restore just replaced wholesale.
-        self._bound_cache = None
+        # The ε floats are derived from the ε vector a restore just replaced.
         self._eps = None
         # Older snapshots hold the moment sums and the previous interval's
         # buffered points as numpy arrays; same values, list layout.
@@ -309,46 +291,49 @@ class SlideFilter(StreamFilter):
     def _process_batch(self, times: np.ndarray, values: np.ndarray) -> None:
         """Event-driven chunk processing (identical recordings to feed()).
 
+        Only one-dimensional hull-mode streams take this path; bounded-lag,
+        multi-dimensional and no-hull streams take the base class's per-point
+        step, which the probe below was never faster than for them.
+
         Per-point Python work only happens at *events*: points that violate a
         bound or force a bound to slide onto a new support point.  All points
-        in between ("silent" points) are detected with one vectorized scan of
-        the remaining chunk against the current bounding lines (coefficients
-        cached per interval, kernels shared with the swing filter) and
-        absorbed in bulk: their hull insertions run as one vectorized
-        :meth:`IncrementalConvexHull.add_many` per dimension (the hull state
-        only depends on the insertion order, which is preserved) and the MSE
-        moments are accumulated with strict left folds matching the per-point
-        addition order bit for bit.
+        in between ("silent" points) are detected with one vectorized probe of
+        a lookahead window against the current bounding lines
+        (:func:`~repro.core.kernels.slide_event_masks_1d`) and absorbed in
+        bulk: their hull insertions run as one vectorized
+        :meth:`IncrementalConvexHull.add_many` (the hull state only depends
+        on the insertion order, which is preserved) and the MSE moments are
+        accumulated with strict left folds matching the per-point addition
+        order bit for bit.
 
         Bound updates are sequential by nature (each one moves the lines the
         next acceptance test uses), so stretches where almost every point is
         an event would pay for a vectorized probe and then discard it.  The
         loop therefore runs in two modes: *probing* mode scans a
         geometrically growing lookahead window for the next event and absorbs
-        the silent points in bulk; when probes keep finding their event after
-        only a few points it drops into *scalar* mode.  For 1-D hull-mode
-        streams scalar mode is the float-native :meth:`_scalar_run_1d` core,
-        which closes and reopens intervals itself and only hands control back
-        at the end of the chunk or to resume probing; other configurations
-        step through :meth:`_feed_point`'s logic directly.  Scalar mode
-        returns to probing once a long silent streak suggests bulk absorption
-        will win again.  The branches at the top of the loop open an interval
-        whose first point (or first two points) the chunk supplies: at the
-        start of a stream, after a chunk ended on a violation, and after a
-        violation found by a probe or by the generic scalar step.
+        the silent points in bulk; when a probe finds its event after only a
+        few points it drops into *scalar* mode, the float-native
+        :meth:`_scalar_run_1d` core, which closes and reopens intervals itself
+        and only hands control back at the end of the chunk or to resume
+        probing once a long silent streak suggests bulk absorption will win
+        again.  The branches at the top of the loop open an interval whose
+        first point (or first two points) the chunk supplies: at the start of
+        a stream, after a chunk ended on a violation, and after a violation
+        found by a probe.
         """
-        if self.max_lag is not None or self._locked_lines is not None:
-            # Bounded-lag bookkeeping is inherently sequential.
+        if (
+            self.max_lag is not None
+            or self._locked_lines is not None
+            or values.shape[1] != 1
+            or not self.use_convex_hull
+        ):
             super()._process_batch(times, values)
             return
         epsilon = self._epsilon_array()
         total = times.shape[0]
         position = 0
         window = _INITIAL_WINDOW
-        fast_1d = values.shape[1] == 1 and self.use_convex_hull
-        scalar_mode = fast_1d
-        immediate_events = 0
-        silent_streak = 0
+        scalar_mode = True
         time_list = value_list = None
         while position < total:
             if self._first_point is None:
@@ -362,63 +347,32 @@ class SlideFilter(StreamFilter):
                 position += 1
                 continue
             if scalar_mode:
-                if fast_1d:
-                    if time_list is None:
-                        time_list = times.tolist()
-                        value_list = values[:, 0].tolist()
-                    position, probe = self._scalar_run_1d(
-                        values, time_list, value_list, position
-                    )
-                    if probe:
-                        scalar_mode = False
-                        window = _INITIAL_WINDOW
-                    continue
-                point = DataPoint(float(times[position]), values[position])
-                if self._accepts(point):
-                    changed = self._update_bounds(point)
-                    self._absorb(point)
-                    if changed:
-                        silent_streak = 0
-                    else:
-                        silent_streak += 1
-                        if silent_streak >= _SCALAR_EXIT_STREAK:
-                            scalar_mode = False
-                            window = _INITIAL_WINDOW
-                else:
-                    self._restart_interval(point)
-                    silent_streak = 0
-                position += 1
+                if time_list is None:
+                    time_list = times.tolist()
+                    value_list = values[:, 0].tolist()
+                position, probe = self._scalar_run_1d(values, time_list, value_list, position)
+                if probe:
+                    scalar_mode = False
+                    window = _INITIAL_WINDOW
                 continue
             stop = min(position + window, total)
             ts = times[position:stop]
             xs = values[position:stop]
-            upper_slopes, upper_intercepts, lower_slopes, lower_intercepts = (
-                self._bound_coefficients()
+            upper = self._upper[0]
+            lower = self._lower[0]
+            violates, needs_update = kernels.slide_event_masks_1d(
+                xs[:, 0],
+                ts * upper.slope + upper.intercept,
+                ts * lower.slope + lower.intercept,
+                epsilon[0],
             )
-            if fast_1d:
-                # 1-D slices and scalar coefficients: same elementwise IEEE
-                # arithmetic as the generic kernels, ~4x fewer dispatches.
-                xs1 = xs[:, 0]
-                upper_values = ts * upper_slopes[0] + upper_intercepts[0]
-                lower_values = ts * lower_slopes[0] + lower_intercepts[0]
-                violates, needs_update = kernels.slide_event_masks_1d(
-                    xs1, upper_values, lower_values, epsilon[0]
-                )
-            else:
-                upper_values = kernels.evaluate_lines(ts, upper_slopes, upper_intercepts)
-                lower_values = kernels.evaluate_lines(ts, lower_slopes, lower_intercepts)
-                violates, needs_update = kernels.slide_event_masks(
-                    xs, upper_values, lower_values, epsilon
-                )
-            event = violates | needs_update
-            run = kernels.first_true(event)
+            run = kernels.first_true(violates | needs_update)
             if run > 0:
                 self._absorb_run(ts[:run], xs[:run])
             if run == len(ts):
                 # No event inside the window: widen the lookahead.
                 position = stop
                 window *= 2
-                immediate_events = 0
                 continue
             point = DataPoint(float(ts[run]), xs[run])
             if violates[run]:
@@ -428,17 +382,8 @@ class SlideFilter(StreamFilter):
                 self._absorb(point)
             position += run + 1
             window = _INITIAL_WINDOW
-            if fast_1d:
-                if run < _SCALAR_ENTER_RUN:
-                    scalar_mode = True
-            elif run == 0:
-                immediate_events += 1
-                if immediate_events >= _SCALAR_ENTER_EVENTS:
-                    scalar_mode = True
-                    silent_streak = 0
-                    immediate_events = 0
-            else:
-                immediate_events = 0
+            if run < _SCALAR_ENTER_RUN:
+                scalar_mode = True
 
     def _scalar_run_1d(
         self,
@@ -488,8 +433,6 @@ class SlideFilter(StreamFilter):
         lower_intercept = float(lower_line.intercept)
         hull = self._hulls[0]
         hull_add = hull.add
-        upper_hint = self._upper_hints[0] if self._upper_hints is not None else 0
-        lower_hint = self._lower_hints[0] if self._lower_hints is not None else 0
         raw_times = self._raw_times
         buffering = raw_times is not None
         time_append = raw_times.append if buffering else None
@@ -547,7 +490,6 @@ class SlideFilter(StreamFilter):
                 hull_add = hull.add
                 hull_add(t, x)
                 hull_add(t2, x2)
-                upper_hint = lower_hint = 0
                 if buffering:
                     self._raw_times = raw_times = [t, t2]
                     self._raw_values = raw_values = [x, x2]
@@ -566,9 +508,7 @@ class SlideFilter(StreamFilter):
             hull_add(t, x)
             updated = False
             if x > lower_value + eps:
-                slope, intercept, lower_hint = max_slope_lower_support(
-                    *hull.lower_chain(), t, x, eps, lower_hint
-                )
+                slope, intercept = max_slope_lower_support(*hull.lower_chain(), t, x, eps)
                 # The current bound stays only when strictly steeper.
                 if not lower_slope > slope:
                     lower_slope = slope
@@ -576,9 +516,7 @@ class SlideFilter(StreamFilter):
                     lower_line = None
                 updated = True
             if x < upper_value - eps:
-                slope, intercept, upper_hint = min_slope_upper_support(
-                    *hull.upper_chain(), t, x, eps, upper_hint
-                )
+                slope, intercept = min_slope_upper_support(*hull.upper_chain(), t, x, eps)
                 if not upper_slope < slope:
                     upper_slope = slope
                     upper_intercept = intercept
@@ -610,9 +548,6 @@ class SlideFilter(StreamFilter):
         self._upper = [upper_line]
         self._lower = [lower_line]
         self._hulls = [hull]
-        self._upper_hints = [upper_hint]
-        self._lower_hints = [lower_hint]
-        self._bound_cache = None
         self._sum_t = sum_t
         self._sum_tt = sum_tt
         self._sum_x = [sum_x]
@@ -628,9 +563,10 @@ class SlideFilter(StreamFilter):
     def _absorb_run(self, ts: np.ndarray, xs: np.ndarray) -> None:
         """Bulk equivalent of :meth:`_absorb` for a run of silent points.
 
-        Moments are folded left in per-point order (bit-identical, bounded
-        temporaries) and the hull insertions run as one vectorized
-        :meth:`IncrementalConvexHull.add_many` per dimension.
+        ``xs`` is the run's ``(n, 1)`` value column.  Moments are folded left
+        in per-point order (bit-identical, bounded temporaries) and the hull
+        insertions run as one vectorized
+        :meth:`IncrementalConvexHull.add_many`.
         """
         count = ts.shape[0]
         self._last_point = DataPoint(float(ts[-1]), xs[-1])
@@ -641,15 +577,11 @@ class SlideFilter(StreamFilter):
         )
         self._sum_x = sum_x.tolist()
         self._sum_xt = sum_xt.tolist()
+        column = xs[:, 0]
         if self._raw_times is not None:
             self._raw_times.extend(ts.tolist())
-            if xs.shape[1] == 1:
-                self._raw_values.extend(xs[:, 0].tolist())
-            else:
-                self._raw_values.extend(xs)
-        if self._hulls is not None:
-            for dimension, hull in enumerate(self._hulls):
-                hull.add_many(ts, xs[:, dimension])
+            self._raw_values.extend(column.tolist())
+        self._hulls[0].add_many(ts, column)
 
     def _finish_stream(self) -> None:
         if self._locked_lines is not None:
@@ -683,9 +615,6 @@ class SlideFilter(StreamFilter):
         self._upper = None
         self._lower = None
         self._hulls = None
-        self._upper_hints = None
-        self._lower_hints = None
-        self._bound_cache = None
         values = point.value.tolist()
         if self.validate_connections or not self.use_convex_hull:
             # 1-D streams buffer plain floats (cheap appends in the batch hot
@@ -713,19 +642,13 @@ class SlideFilter(StreamFilter):
             Line.from_points(first.time, x1 + eps, second.time, x2 - eps)
             for x1, x2, eps in zip(firsts, seconds, epsilon)
         ]
-        dimensions = len(firsts)
         if self.use_convex_hull:
-            self._hulls = [IncrementalConvexHull() for _ in range(dimensions)]
+            self._hulls = [IncrementalConvexHull() for _ in firsts]
             for hull, x1, x2 in zip(self._hulls, firsts, seconds):
                 hull.add(first.time, x1)
                 hull.add(second.time, x2)
-            self._upper_hints = [0] * dimensions
-            self._lower_hints = [0] * dimensions
         else:
             self._hulls = None
-            self._upper_hints = None
-            self._lower_hints = None
-        self._bound_cache = None
 
     def _absorb(self, point: DataPoint) -> None:
         """Account for an accepted point (moments, buffers, lag bookkeeping)."""
@@ -755,68 +678,42 @@ class SlideFilter(StreamFilter):
                 return False
         return True
 
-    def _update_bounds(self, point: DataPoint) -> bool:
+    def _update_bounds(self, point: DataPoint) -> None:
         """Slide the bounds so they stay extremal after accepting ``point``.
 
         With the hull optimization the replacement bound is found by an
         O(log m_H) tangent binary search over the relevant hull chain; the
-        non-optimized variant scans every buffered interval point.
-
-        Returns whether any bounding line actually moved (used by the batch
-        path to decide when a dense stretch of update events has ended).
+        non-optimized variant scans every buffered interval point.  Either
+        way the new bound depends only on the interval's points, the current
+        bound, the new point and ε, all of which a snapshot carries (the
+        searches start cold every time), so a restored filter slides its
+        bounds exactly as the uninterrupted one does.
         """
         epsilon = self._epsilon_list()
         time = point.time
-        changed = False
-        if self.use_convex_hull and self._upper_hints is None:
-            # Restored snapshots predate the hint lists; rebuild them cold.
-            self._upper_hints = [0] * point.dimensions
-            self._lower_hints = [0] * point.dimensions
         for i, value in enumerate(point.value.tolist()):
             eps = epsilon[i]
             if self.use_convex_hull:
                 hull = self._hulls[i]
                 hull.add(time, value)
                 if value > self._lower[i].value_at(time) + eps:
-                    chain_t, chain_x = hull.lower_chain()
-                    self._lower[i], self._lower_hints[i] = max_slope_lower_tangent_search(
-                        chain_t, chain_x, time, value, eps,
-                        current=self._lower[i], hint=self._lower_hints[i],
+                    self._lower[i] = max_slope_lower_tangent(
+                        *hull.lower_chain(), time, value, eps, current=self._lower[i]
                     )
-                    changed = True
                 if value < self._upper[i].value_at(time) - eps:
-                    chain_t, chain_x = hull.upper_chain()
-                    self._upper[i], self._upper_hints[i] = min_slope_upper_tangent_search(
-                        chain_t, chain_x, time, value, eps,
-                        current=self._upper[i], hint=self._upper_hints[i],
+                    self._upper[i] = min_slope_upper_tangent(
+                        *hull.upper_chain(), time, value, eps, current=self._upper[i]
                     )
-                    changed = True
                 continue
             support = self._support_points(i)
             if value > self._lower[i].value_at(time) + eps:
                 self._lower[i] = max_slope_lower_line(
                     support, time, value, eps, current=self._lower[i]
                 )
-                changed = True
             if value < self._upper[i].value_at(time) - eps:
                 self._upper[i] = min_slope_upper_line(
                     support, time, value, eps, current=self._upper[i]
                 )
-                changed = True
-        if changed:
-            self._bound_cache = None
-        return changed
-
-    def _bound_coefficients(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Slope/intercept arrays of the current bounds, cached per interval."""
-        if self._bound_cache is None:
-            self._bound_cache = (
-                np.array([line.slope for line in self._upper]),
-                np.array([line.intercept for line in self._upper]),
-                np.array([line.slope for line in self._lower]),
-                np.array([line.intercept for line in self._lower]),
-            )
-        return self._bound_cache
 
     def _support_points(self, dimension: int) -> Sequence[Tuple[float, float]]:
         if self.use_convex_hull:
@@ -1231,7 +1128,6 @@ class SlideFilter(StreamFilter):
         self._first_point = None
         self._upper = None
         self._lower = None
-        self._bound_cache = None
 
     def _feed_locked(self, point: DataPoint) -> None:
         within = all(

@@ -23,16 +23,15 @@ points need to be considered.  Two families of helpers implement the search:
   chain, the extremal support vertex is found with a binary search over the
   chain's coordinate lists — O(log m_H) per bound update, beating the
   paper's O(m_H) bound.  The optimized slide filter feeds these the chains
-  of :class:`repro.geometry.hull.IncrementalConvexHull` directly.  The
-  ``*_search`` variants additionally return the winning support index so
-  consecutive updates can warm-start each other: the extremal vertex is
-  usually unchanged between calls, collapsing the search to O(1).
+  of :class:`repro.geometry.hull.IncrementalConvexHull` directly.  Every
+  search starts cold, so its answer is a function of the chain, the new
+  point and ε alone: a filter restored from a snapshot continues exactly,
+  even where float rounding breaks the chain's unimodality.
 
 Each direction has one float core (:func:`min_slope_upper_support` /
 :func:`max_slope_lower_support`) that returns the tangent as a
-``(slope, intercept, support_index)`` triple of Python numbers; the
-``Line``-returning functions wrap it, and the slide filter's 1-D batch core
-calls it directly.
+``(slope, intercept)`` pair of Python floats; the ``Line``-returning
+functions wrap it, and the slide filter's 1-D batch core calls it directly.
 """
 
 from __future__ import annotations
@@ -46,8 +45,6 @@ __all__ = [
     "max_slope_lower_line",
     "min_slope_upper_tangent",
     "max_slope_lower_tangent",
-    "min_slope_upper_tangent_search",
-    "max_slope_lower_tangent_search",
     "min_slope_upper_support",
     "max_slope_lower_support",
     "candidate_upper_lines",
@@ -152,16 +149,15 @@ def min_slope_upper_support(
     t_new: float,
     x_new: float,
     epsilon: float,
-    hint: Optional[int],
-) -> Optional[Tuple[float, float, int]]:
+) -> Optional[Tuple[float, float]]:
     """Float core of the upper tangent search.
 
-    Returns ``(slope, intercept, support_index)`` of the minimum-slope line
-    through a shifted chain vertex ``(t_i, x_i - eps)`` and the shifted new
-    point ``(t_new, x_new + eps)`` — exactly ``Line.from_points`` of the two —
-    or ``None`` when no chain vertex precedes ``t_new``.  See
-    :func:`min_slope_upper_tangent_search` for the arguments, which that
-    wrapper converts to Python floats first.
+    Returns ``(slope, intercept)`` of the minimum-slope line through a
+    shifted chain vertex ``(t_i, x_i - eps)`` and the shifted new point
+    ``(t_new, x_new + eps)`` — exactly ``Line.from_points`` of the two — or
+    ``None`` when no chain vertex precedes ``t_new``.  See
+    :func:`min_slope_upper_tangent` for the arguments, which that wrapper
+    converts to Python floats first.
     """
     count = len(chain_t)
     while count > 0 and chain_t[count - 1] >= t_new:
@@ -175,23 +171,6 @@ def min_slope_upper_support(
     # new point — is strictly unimodal along the convex chain, so the
     # predicate g(i) = f(i) <= f(i+1) is monotone false->true and the
     # extremal support is the leftmost index where g holds.
-    if hint is not None and low < high:
-        pivot = hint if hint < high else high
-        if pivot < low:
-            pivot = low
-        here = (shifted_new - (chain_x[pivot] - epsilon)) / (t_new - chain_t[pivot])
-        # g(high) is vacuously true — the valley is never right of high.
-        if pivot == high or here <= (
-            shifted_new - (chain_x[pivot + 1] - epsilon)
-        ) / (t_new - chain_t[pivot + 1]):
-            if pivot == low or (
-                shifted_new - (chain_x[pivot - 1] - epsilon)
-            ) / (t_new - chain_t[pivot - 1]) > here:
-                low = high = pivot  # hint hit: still the leftmost valley
-            else:
-                high = pivot - 1  # valley strictly left of the hint
-        else:
-            low = pivot + 1  # valley strictly right of the hint
     while low < high:
         mid = (low + high) >> 1
         if (shifted_new - (chain_x[mid] - epsilon)) / (t_new - chain_t[mid]) <= (
@@ -205,7 +184,7 @@ def min_slope_upper_support(
     t_support = chain_t[low]
     x_support = chain_x[low] - epsilon
     slope = (shifted_new - x_support) / (t_new - t_support)
-    return slope, x_support - slope * t_support, low
+    return slope, x_support - slope * t_support
 
 
 def max_slope_lower_support(
@@ -214,8 +193,7 @@ def max_slope_lower_support(
     t_new: float,
     x_new: float,
     epsilon: float,
-    hint: Optional[int],
-) -> Optional[Tuple[float, float, int]]:
+) -> Optional[Tuple[float, float]]:
     """Float core of the lower tangent search.
 
     Mirror image of :func:`min_slope_upper_support`: the maximum-slope line
@@ -229,22 +207,6 @@ def max_slope_lower_support(
     shifted_new = x_new - epsilon
     low = 0
     high = count - 1
-    if hint is not None and low < high:
-        pivot = hint if hint < high else high
-        if pivot < low:
-            pivot = low
-        here = (shifted_new - (chain_x[pivot] + epsilon)) / (t_new - chain_t[pivot])
-        if pivot == high or here >= (
-            shifted_new - (chain_x[pivot + 1] + epsilon)
-        ) / (t_new - chain_t[pivot + 1]):
-            if pivot == low or (
-                shifted_new - (chain_x[pivot - 1] + epsilon)
-            ) / (t_new - chain_t[pivot - 1]) < here:
-                low = high = pivot
-            else:
-                high = pivot - 1
-        else:
-            low = pivot + 1
     while low < high:
         mid = (low + high) >> 1
         if (shifted_new - (chain_x[mid] + epsilon)) / (t_new - chain_t[mid]) >= (
@@ -256,28 +218,18 @@ def max_slope_lower_support(
     t_support = chain_t[low]
     x_support = chain_x[low] + epsilon
     slope = (shifted_new - x_support) / (t_new - t_support)
-    return slope, x_support - slope * t_support, low
+    return slope, x_support - slope * t_support
 
 
-def min_slope_upper_tangent_search(
+def min_slope_upper_tangent(
     chain_t: Sequence[float],
     chain_x: Sequence[float],
     t_new: float,
     x_new: float,
     epsilon: float,
     current: Optional[Line] = None,
-    hint: Optional[int] = None,
-) -> Tuple[Line, int]:
-    """Hinted variant of :func:`min_slope_upper_tangent`.
-
-    Returns ``(line, support_index)`` where ``support_index`` is the chain
-    index of the extremal support vertex (``-1`` when the chain held no
-    usable support and ``current`` was returned).  Passing the previous
-    call's ``support_index`` back as ``hint`` warm-starts the binary search:
-    the extremal vertex rarely moves between consecutive bound updates, so a
-    correct hint resolves in O(1) candidate-slope evaluations instead of
-    O(log m_H) — and a stale hint merely narrows the search range, never
-    changes the result.
+) -> Line:
+    """Chain variant of :func:`min_slope_upper_line` over a convex upper chain.
 
     Args:
         chain_t: Upper-chain vertex times, sorted ascending (usually from
@@ -291,70 +243,21 @@ def min_slope_upper_tangent_search(
         current: The existing upper bound; competes with the tangent
             candidate exactly as in :func:`min_slope_upper_line` (kept only
             when *strictly* smaller in slope).
-        hint: Support index returned by the previous call, or ``None`` for a
-            cold search.
 
     Raises:
         ValueError: If there is no support vertex and no ``current`` line.
     """
     found = min_slope_upper_support(
-        chain_t, chain_x, float(t_new), float(x_new), float(epsilon), hint
+        chain_t, chain_x, float(t_new), float(x_new), float(epsilon)
     )
     if found is None:
         if current is None:
             raise ValueError("no support points available to build an upper bound")
-        return current, -1
-    slope, intercept, index = found
+        return current
+    slope, intercept = found
     if current is not None and current.slope < slope:
-        return current, index
-    return Line(slope, intercept), index
-
-
-def max_slope_lower_tangent_search(
-    chain_t: Sequence[float],
-    chain_x: Sequence[float],
-    t_new: float,
-    x_new: float,
-    epsilon: float,
-    current: Optional[Line] = None,
-    hint: Optional[int] = None,
-) -> Tuple[Line, int]:
-    """Hinted variant of :func:`max_slope_lower_tangent`.
-
-    Mirror image of :func:`min_slope_upper_tangent_search`; see that
-    function for the parameter description and the warm-start contract.
-    """
-    found = max_slope_lower_support(
-        chain_t, chain_x, float(t_new), float(x_new), float(epsilon), hint
-    )
-    if found is None:
-        if current is None:
-            raise ValueError("no support points available to build a lower bound")
-        return current, -1
-    slope, intercept, index = found
-    if current is not None and current.slope > slope:
-        return current, index
-    return Line(slope, intercept), index
-
-
-def min_slope_upper_tangent(
-    chain_t: Sequence[float],
-    chain_x: Sequence[float],
-    t_new: float,
-    x_new: float,
-    epsilon: float,
-    current: Optional[Line] = None,
-) -> Line:
-    """Chain variant of :func:`min_slope_upper_line` over a convex upper chain.
-
-    Cold-search convenience wrapper around
-    :func:`min_slope_upper_tangent_search` (which also returns the support
-    index for warm-starting the next search).
-    """
-    line, _ = min_slope_upper_tangent_search(
-        chain_t, chain_x, t_new, x_new, epsilon, current=current
-    )
-    return line
+        return current
+    return Line(slope, intercept)
 
 
 def max_slope_lower_tangent(
@@ -367,10 +270,17 @@ def max_slope_lower_tangent(
 ) -> Line:
     """Chain variant of :func:`max_slope_lower_line` over a convex lower chain.
 
-    Cold-search convenience wrapper around
-    :func:`max_slope_lower_tangent_search`.
+    Mirror image of :func:`min_slope_upper_tangent`; see that function for
+    the parameter description.
     """
-    line, _ = max_slope_lower_tangent_search(
-        chain_t, chain_x, t_new, x_new, epsilon, current=current
+    found = max_slope_lower_support(
+        chain_t, chain_x, float(t_new), float(x_new), float(epsilon)
     )
-    return line
+    if found is None:
+        if current is None:
+            raise ValueError("no support points available to build a lower bound")
+        return current
+    slope, intercept = found
+    if current is not None and current.slope > slope:
+        return current
+    return Line(slope, intercept)

@@ -9,23 +9,20 @@ store (plain or sharded).
 Archiving is batched: transmitted recordings are buffered per stream and
 appended to the store in ``archive_batch``-sized batches (plus one final
 flush on :meth:`close`), so archiving a fleet does not rewrite the store
-catalog once per observation.  The batch ingestion path —
-:meth:`observe_batch` and :meth:`run_arrays` — additionally routes chunked
-arrays through the filters' vectorized ``process_batch`` fast path.
+catalog once per observation.  :meth:`observe_batch` additionally routes
+chunked arrays through the filters' vectorized ``process_batch`` fast path.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from repro.approximation.piecewise import Approximation
 from repro.core.base import StreamFilter
 from repro.core.registry import create_filter
-from repro.pipeline.chunking import DEFAULT_CHUNK_SIZE, iter_chunks
 from repro.pipeline.sinks import flush_buffered
 from repro.storage import StoreLike
 from repro.streams.transport import Transmitter
@@ -121,50 +118,6 @@ class StreamSet:
         recordings = transmitter.observe_batch(times, values)
         self._archive(stream, recordings)
         return len(recordings)
-
-    def run_arrays(
-        self,
-        data: Mapping[str, Tuple],
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        close: bool = True,
-    ) -> StreamSetReport:
-        """Ingest several streams given as ``{name: (times, values)}`` arrays.
-
-        The streams' chunks are interleaved round-robin — the multiplexed
-        arrival order of a live fleet — and each chunk goes through
-        :meth:`observe_batch`.  With ``close=True`` (default) the set is
-        closed afterwards, flushing every filter and the archive buffers.
-
-        .. deprecated::
-            Use the :class:`~repro.api.session.StreamDB` session instead —
-            ``with repro.open(path, filter=...) as db`` and one
-            :meth:`~repro.api.session.StreamDB.append` per stream chunk (or
-            :meth:`~repro.api.session.StreamDB.ingest` per whole stream).
-        """
-        warnings.warn(
-            "StreamSet.run_arrays is deprecated and will be removed in the next "
-            "release; use the StreamDB session instead: "
-            "`with repro.open(path, filter=FilterSpec(...)) as db: db.append(name, times, values)`",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        iterators = {
-            name: iter_chunks(times, values, chunk_size)
-            for name, (times, values) in data.items()
-        }
-        while iterators:
-            exhausted = []
-            for name, chunks in iterators.items():
-                chunk = next(chunks, None)
-                if chunk is None:
-                    exhausted.append(name)
-                    continue
-                self.observe_batch(name, chunk[0], chunk[1])
-            for name in exhausted:
-                del iterators[name]
-        if close:
-            return self.close()
-        return self.report()
 
     def flush(self) -> None:
         """Append all buffered recordings to the store and flush its catalog."""

@@ -9,7 +9,6 @@ traffic.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
@@ -20,7 +19,6 @@ from repro.core.base import StreamFilter
 from repro.core.registry import create_filter
 from repro.core.types import DataPoint, ensure_points
 from repro.metrics.error import error_profile
-from repro.pipeline.chunking import DEFAULT_CHUNK_SIZE, iter_chunks, normalize_chunk
 from repro.streams.source import IterableSource, StreamSource
 from repro.streams.transport import Channel, Receiver, Transmitter
 
@@ -86,35 +84,6 @@ class MonitoringPipeline:
         points = ensure_points(observed)
         times = np.array([p.time for p in points])
         values = np.vstack([p.value for p in points]) if points else np.empty((0, 0))
-        return self._report(times, values)
-
-    def run_arrays(
-        self, times, values, chunk_size: int = DEFAULT_CHUNK_SIZE
-    ) -> PipelineReport:
-        """Run the pipeline over array data via the batch fast path.
-
-        Equivalent to :meth:`run` over the same points (identical recordings
-        and traffic), but driven chunk-by-chunk through
-        :meth:`~repro.streams.transport.Transmitter.observe_batch`; the
-        reported ``max_lag`` is measured at chunk granularity.
-
-        .. deprecated::
-            Use the :class:`~repro.api.session.StreamDB` session instead —
-            ``repro.open(path, filter=...).ingest(name, times, values)``
-            drives the same vectorized batch path and archives the
-            recordings for querying.
-        """
-        warnings.warn(
-            "MonitoringPipeline.run_arrays is deprecated and will be removed in "
-            "the next release; use the StreamDB session instead: "
-            "`repro.open(path, filter=FilterSpec(...)).ingest(name, times, values)`",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        times, values = normalize_chunk(times, values)
-        for chunk_times, chunk_values in iter_chunks(times, values, chunk_size):
-            self.transmitter.observe_batch(chunk_times, chunk_values)
-        self.transmitter.close()
         return self._report(times, values)
 
     def approximation(self) -> Approximation:

@@ -525,33 +525,57 @@ class TestLifecycle:
             repro.open(tmp_path / "db", archive_batch=0)
 
 
-class TestDeprecationShims:
-    def test_monitoring_pipeline_run_arrays_warns_once(self):
+class TestMigrationEquivalents:
+    """The README's migration table: an old entry point and its ``StreamDB``
+    equivalent archive the same recordings, and the old ones do not warn."""
+
+    def test_monitoring_pipeline_run_matches_db_ingest(self, tmp_path):
         from repro.streams.pipeline import MonitoringPipeline
 
-        times, values = make_signal(200)
-        pipeline = MonitoringPipeline("swing", epsilon=0.5)
-        with pytest.warns(DeprecationWarning, match="StreamDB") as captured:
-            pipeline.run_arrays(times, values)
-        assert len(captured) == 1
+        times, values = make_signal(600)
+        pipeline = MonitoringPipeline("slide", epsilon=0.5)
+        report = pipeline.run(zip(times, values))
+        with repro.open(tmp_path / "db", **SLIDE) as db:
+            ingested = db.ingest("s", times, values)
+            stored = db.store.read("s")
+        assert ingested.points == report.points
+        assert ingested.recordings == report.recordings
+        assert recordings_equal(stored, pipeline.receiver.recordings)
 
-    def test_stream_set_run_arrays_warns_once(self):
+    def test_stream_set_fleet_matches_db_append_and_seal(self, tmp_path):
         from repro.streams.multiplex import StreamSet
 
-        times, values = make_signal(200)
-        streams = StreamSet("swing", epsilon=0.5)
-        with pytest.warns(DeprecationWarning, match="StreamDB") as captured:
-            streams.run_arrays({"a": (times, values)})
-        assert len(captured) == 1
+        fleet = {f"s{i}": make_signal(500, seed=i) for i in range(3)}
+        store = SegmentStore(tmp_path / "set", autoflush=False)
+        streams = StreamSet("slide", epsilon=0.5, store=store)
+        with repro.open(tmp_path / "db", **SLIDE) as db:
+            # Chunks interleaved round-robin, as a live fleet delivers them.
+            for lo in range(0, 500, 128):
+                for name, (times, values) in fleet.items():
+                    streams.observe_batch(name, times[lo : lo + 128], values[lo : lo + 128])
+                    db.append(name, times[lo : lo + 128], values[lo : lo + 128])
+            report = streams.close()
+            for name in fleet:
+                db.seal(name)
+            assert report.points == 3 * 500
+            for name in fleet:
+                assert recordings_equal(db.store.read(name), store.read(name)), name
 
-    def test_deprecated_paths_still_work(self):
+    def test_old_entry_points_do_not_warn(self, tmp_path):
+        from repro.pipeline import BatchIngestor, StoreSink
+        from repro.streams.multiplex import StreamSet
         from repro.streams.pipeline import MonitoringPipeline
 
         times, values = make_signal(200)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            report = MonitoringPipeline("swing", epsilon=0.5).run_arrays(times, values)
-        assert report.points == len(times)
+            warnings.simplefilter("error", DeprecationWarning)
+            report = MonitoringPipeline("swing", epsilon=0.5).run(zip(times, values))
+            streams = StreamSet("swing", epsilon=0.5)
+            streams.observe_batch("a", times, values)
+            fleet = streams.close()
+            sink = StoreSink(tmp_path / "archive", "s", epsilon=[0.5])
+            ingested = BatchIngestor("swing", 0.5, sink=sink).run(times, values)
+        assert report.points == fleet.points == ingested.points == len(times)
 
 
 class TestReviewRegressions:

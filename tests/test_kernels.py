@@ -17,6 +17,7 @@ Three layers are pinned here:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import pickle
@@ -34,10 +35,8 @@ from repro.geometry.lines import Line
 from repro.geometry.tangents import (
     max_slope_lower_line,
     max_slope_lower_tangent,
-    max_slope_lower_tangent_search,
     min_slope_upper_line,
     min_slope_upper_tangent,
-    min_slope_upper_tangent_search,
 )
 
 
@@ -104,61 +103,37 @@ class TestFoldKernels:
 
 
 class TestLineKernels:
-    def test_evaluate_lines_matches_value_at(self):
-        rng = np.random.default_rng(5)
-        lines = [Line(rng.normal(), rng.normal()) for _ in range(4)]
-        ts = np.cumsum(rng.uniform(0.1, 1.0, 64))
-        out = kernels.evaluate_lines(
-            ts,
-            np.array([l.slope for l in lines]),
-            np.array([l.intercept for l in lines]),
-        )
-        for k, t in enumerate(ts):
-            for i, line in enumerate(lines):
-                assert out[k, i] == line.value_at(float(t))
-
     def test_event_masks_match_scalar_conditions(self):
         rng = np.random.default_rng(6)
-        dims = 2
         ts = np.cumsum(rng.uniform(0.1, 1.0, 128))
-        xs = rng.normal(0.0, 3.0, (128, dims))
-        epsilon = np.array([0.5, 1.25])
-        up_s, up_i = rng.normal(0, 1, dims), rng.normal(0, 1, dims)
-        lo_s, lo_i = up_s - 0.3, up_i - 2.0
-        upper_values = kernels.evaluate_lines(ts, up_s, up_i)
-        lower_values = kernels.evaluate_lines(ts, lo_s, lo_i)
-        violates, needs = kernels.slide_event_masks(
-            xs, upper_values, lower_values, epsilon
-        )
-        for k in range(len(ts)):
-            expect_violates = any(
-                xs[k, i] > upper_values[k, i] + epsilon[i]
-                or xs[k, i] < lower_values[k, i] - epsilon[i]
-                for i in range(dims)
+        cases = [
+            (rng.normal(), rng.normal(), 0.3, 2.0, epsilon) for epsilon in (0.5, 1.25)
+        ] + [(0.2, 1.0, 0.1, 2.0, 0.75)]
+        for up_s, up_i, slope_gap, intercept_gap, epsilon in cases:
+            xs = rng.normal(0.0, 3.0, 128)
+            lo_s, lo_i = up_s - slope_gap, up_i - intercept_gap
+            upper_values = ts * up_s + up_i
+            lower_values = ts * lo_s + lo_i
+            violates, needs = kernels.slide_event_masks_1d(
+                xs, upper_values, lower_values, epsilon
             )
-            expect_needs = any(
-                xs[k, i] > lower_values[k, i] + epsilon[i]
-                or xs[k, i] < upper_values[k, i] - epsilon[i]
-                for i in range(dims)
-            )
-            assert bool(violates[k]) == expect_violates
-            assert bool(needs[k]) == expect_needs
+            assert violates.any() and needs.any()
+            for k, (t, x) in enumerate(zip(ts.tolist(), xs.tolist())):
+                upper = Line(up_s, up_i).value_at(t)
+                lower = Line(lo_s, lo_i).value_at(t)
+                assert bool(violates[k]) == (x > upper + epsilon or x < lower - epsilon)
+                assert bool(needs[k]) == (x > lower + epsilon or x < upper - epsilon)
 
-    def test_event_masks_1d_agree_with_generic(self):
-        rng = np.random.default_rng(7)
-        ts = np.cumsum(rng.uniform(0.1, 1.0, 256))
-        xs = rng.normal(0.0, 3.0, (256, 1))
-        epsilon = np.array([0.75])
-        up_s, up_i = np.array([0.2]), np.array([1.0])
-        lo_s, lo_i = np.array([0.1]), np.array([-1.0])
-        uv = kernels.evaluate_lines(ts, up_s, up_i)
-        lv = kernels.evaluate_lines(ts, lo_s, lo_i)
-        violates, needs = kernels.slide_event_masks(xs, uv, lv, epsilon)
-        violates_1d, needs_1d = kernels.slide_event_masks_1d(
-            xs[:, 0], ts * up_s[0] + up_i[0], ts * lo_s[0] + lo_i[0], epsilon[0]
-        )
-        assert np.array_equal(violates, violates_1d)
-        assert np.array_equal(needs, needs_1d)
+    def test_probe_line_values_match_value_at(self):
+        """The 1-D probe evaluates each bound over its window as
+        ``ts * slope + intercept``: element for element ``Line.value_at``."""
+        rng = np.random.default_rng(5)
+        ts = np.cumsum(rng.uniform(0.1, 1.0, 64))
+        for _ in range(4):
+            line = Line(rng.normal(), rng.normal())
+            window = ts * line.slope + line.intercept
+            for t, value in zip(ts.tolist(), window.tolist()):
+                assert value == line.value_at(t)
 
     def test_first_true(self):
         assert kernels.first_true(np.array([False, False, True, True])) == 2
@@ -185,10 +160,8 @@ class TestConnectionCheck:
         for _ in range(300):
             lines = [Line(rng.normal(), rng.normal()) for _ in range(dimensions)]
             times = np.sort(rng.uniform(0.0, 10.0, int(rng.integers(1, 6))))
-            predicted = kernels.evaluate_lines(
-                times,
-                np.array([line.slope for line in lines]),
-                np.array([line.intercept for line in lines]),
+            predicted = times[:, None] * np.array([line.slope for line in lines]) + np.array(
+                [line.intercept for line in lines]
             )
             edge = epsilon + _VALIDATION_SLACK * ((1.0 + np.abs(predicted)) + epsilon)
             nudge = rng.choice([-1e-10, -1e-16, 0.0, 1e-16, 1e-10], predicted.shape)
@@ -354,6 +327,28 @@ class TestChainTangents:
         assert lower.slope == expected_lower.slope
         assert lower.intercept == expected_lower.intercept
 
+    @pytest.mark.parametrize("seed", [3, 11, 19])
+    def test_search_depends_on_its_arguments_alone(self, seed):
+        """Asked in any order, each search returns the list scan's line bit
+        for bit: nothing of one search outlives it, so a snapshot, which
+        carries only the hull and the bounds, restores every later update."""
+        rng = np.random.default_rng(seed)
+        times = np.cumsum(rng.uniform(0.1, 1.0, 300))
+        values = np.cumsum(rng.normal(0.0, 1.0, 300))
+        hull = IncrementalConvexHull()
+        hull.add_many(times, values)
+        t_new = float(times[-1]) + 1.0
+        support = hull.vertices()
+        queries = [float(rng.normal(values[-1], 20.0)) for _ in range(60)]
+        for search, scan, chain in (
+            (min_slope_upper_tangent, min_slope_upper_line, hull.upper_chain()),
+            (max_slope_lower_tangent, max_slope_lower_line, hull.lower_chain()),
+        ):
+            expected = {x: line_bits(scan(support, t_new, x, 0.25)) for x in queries}
+            for order in (queries, queries[::-1], rng.permutation(queries).tolist()):
+                for x in order:
+                    assert line_bits(search(*chain, t_new, x, 0.25)) == expected[x]
+
     def test_current_line_competes_exactly_like_list_scan(self):
         hull = IncrementalConvexHull([(0.0, 0.0), (1.0, 0.5), (2.0, 0.0)])
         hull.add(3.0, 0.2)
@@ -485,6 +480,38 @@ class TestSlidePathEquivalence:
         kernel = run_batched(SlideFilter, times, values, 0.6, 311, **kwargs)
         assert kernel == reference
 
+    def test_hull_recordings_match_list_scan(self):
+        """Hull-mode slide (batched, chain searches) records what the no-hull
+        variant (per-point step, list scans over every point) records."""
+        rng = np.random.default_rng(23)
+        times = np.cumsum(rng.uniform(0.2, 1.0, 1200))
+        values = np.cumsum(rng.normal(0.0, 1.0, 1200)).reshape(-1, 1)
+        hull = SlideFilter(0.5)
+        reference = SlideFilter(0.5, use_convex_hull=False)
+        got = hull.process_batch(times, values) + hull.finish()
+        ref = reference.process_batch(times, values) + reference.finish()
+        assert len(got) == len(ref)
+        for g, r in zip(got, ref):
+            assert g.kind == r.kind
+            assert g.time == r.time
+            np.testing.assert_allclose(g.value, r.value, rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "dims, use_hull", [(2, True), (1, False)], ids=["2d-hull", "1d-no-hull"]
+    )
+    def test_per_point_streams_resume_from_batch_snapshots(self, dims, use_hull):
+        """Streams the batch hook hands to the per-point step snapshot between
+        chunks and resume bit-identically through both paths."""
+        times, values = make_signal(seed=29, length=600, dimensions=dims)
+        epsilon = [0.6 + 0.2 * i for i in range(dims)]
+        check_grid_stream(
+            times,
+            values.reshape(len(times), dims),
+            epsilon,
+            [97, 250, 251, 480],
+            functools.partial(SlideFilter, use_convex_hull=use_hull),
+        )
+
 
 class TestSwingPathEquivalence:
     @pytest.mark.parametrize("seed", range(4))
@@ -549,7 +576,8 @@ def chunk_bounds(length, cuts):
 
 
 def check_grid_stream(times, rows, epsilon, cuts, filter_class=SwingFilter):
-    """Batch equals ``feed()`` bitwise, and every between-chunk snapshot resumes it."""
+    """Batch equals ``feed()`` bitwise, and every between-chunk snapshot resumes
+    it through ``process_batch`` and through ``feed()``."""
     times = np.array(times)
     values = np.array(rows)
     reference = filter_class(epsilon)
@@ -573,6 +601,12 @@ def check_grid_stream(times, rows, epsilon, cuts, filter_class=SwingFilter):
         tail = []
         for start, stop in chunks[index:]:
             tail += resumed.process_batch(times[start:stop], values[start:stop])
+        assert recording_bits(tail + resumed.finish()) == expected[emitted:]
+        resumed = filter_class(1.0).restore(pickle.loads(state))
+        tail = []
+        resume_at = chunks[index][0]
+        for t, v in zip(times[resume_at:], values[resume_at:]):
+            tail += resumed.feed(t, v)
         assert recording_bits(tail + resumed.finish()) == expected[emitted:]
 
 
@@ -668,9 +702,10 @@ class TestSlideTies:
     """Slide's 1-D core on streams that tie its turns and slopes.
 
     Batch must equal ``feed()`` byte for byte and a snapshot taken between
-    any two chunks must continue identically (restored filters start the
-    tangent searches cold, so a hint-dependent search shows), and the hull
-    must build the same chains through ``add`` and ``add_many``, on the
+    any two chunks must continue identically through ``process_batch`` and
+    through ``feed()`` (a bound update that depended on anything but the
+    chain, the point and ε, which a snapshot does not carry, shows), and the
+    hull must build the same chains through ``add`` and ``add_many``, on the
     stream and on it repeated past the scalar-merge limit.
     """
 
@@ -711,6 +746,22 @@ class TestSlideTies:
             [],
         )
     )
+    # A snapshot after 17 points, where float rounding breaks the chain's
+    # unimodality: a tangent search whose answer depends on state the
+    # snapshot does not carry (such as where the previous search ended)
+    # resumes as one segment where the uninterrupted run records two.
+    @example(
+        stream=(
+            [0.5 * k for k in range(1, 16)] + [9.5, 10.0, 10.5] + [0.5 * k for k in range(23, 41)],
+            [[-0.0]] * 10
+            + [[-3 * TINY]]
+            + [[-0.0]] * 4
+            + [[3 * TINY], [TINY], [3 * TINY]]
+            + [[-0.0]] * 18,
+            [TINY],
+            [17],
+        )
+    )
     @settings(max_examples=300, deadline=None)
     def test_one_dimension(self, stream):
         times, rows, epsilon, cuts = stream
@@ -724,11 +775,10 @@ class TestChainTangentTies:
     """The chain searches on small-integer hulls, where candidate slopes tie.
 
     Such ties are exact (the quotients of small integers and halves are
-    equal only when the rationals are), so every search — cold or started
-    from any hint — must return the leftmost tied support like the list
-    scan over the hull's vertices: the same line bit for bit and the same
-    support index.  A ``current`` bound of the same slope must lose to the
-    new line.
+    equal only when the rationals are), so every search must return the
+    leftmost tied support like the list scan over the hull's vertices: the
+    same line bit for bit.  A ``current`` bound of the same slope must lose
+    to the new line.
     """
 
     @given(
@@ -740,7 +790,7 @@ class TestChainTangentTies:
         )
     )
     # Ties at the upper (first) and lower (second) tangent: a search that
-    # settles them on the rightmost support, cold and warm alike, fails here.
+    # settles them on the rightmost support fails here.
     @example(
         stream=(
             [0.5, 1.0, 1.5, 2.0] + [0.5 * k for k in range(10, 21)],
@@ -767,14 +817,11 @@ class TestChainTangentTies:
             if not support:
                 continue
             for search, scan, chain in (
-                (min_slope_upper_tangent_search, min_slope_upper_line, hull.upper_chain()),
-                (max_slope_lower_tangent_search, max_slope_lower_line, hull.lower_chain()),
+                (min_slope_upper_tangent, min_slope_upper_line, hull.upper_chain()),
+                (max_slope_lower_tangent, max_slope_lower_line, hull.lower_chain()),
             ):
                 expected = scan(support, t, x, epsilon)
                 tied = Line(expected.slope, expected.intercept + 1.0)
-                _, cold_index = search(*chain, t, x, epsilon)
-                for hint in [None, *range(len(chain[0]) + 1)]:
-                    for current in (None, tied):
-                        line, index = search(*chain, t, x, epsilon, current=current, hint=hint)
-                        assert line_bits(line) == line_bits(expected), (hint, current)
-                        assert index == cold_index, hint
+                for current in (None, tied):
+                    line = search(*chain, t, x, epsilon, current=current)
+                    assert line_bits(line) == line_bits(expected), current

@@ -123,11 +123,16 @@ class TestBatchIngestion:
             batched.approximation("a").values_at(grid),
         )
 
-    def test_run_arrays_ingests_a_fleet(self, tmp_path):
+    def test_observe_batch_round_robin_ingests_a_fleet(self, tmp_path):
         store = SegmentStore(tmp_path / "archive", autoflush=False)
         streams = StreamSet("swing", epsilon=0.5, store=store)
         data = {f"s{i}": walk(40 + i, length=300) for i in range(3)}
-        report = streams.run_arrays(data, chunk_size=128)
+        # Chunks interleaved round-robin, the multiplexed arrival order of a
+        # live fleet.
+        for lo in range(0, 300, 128):
+            for name, (times, values) in data.items():
+                streams.observe_batch(name, times[lo : lo + 128], values[lo : lo + 128])
+        report = streams.close()
         assert report.streams == 3
         assert report.points == 3 * 300
         # Everything transmitted is archived, across all streams.
@@ -139,13 +144,23 @@ class TestBatchIngestion:
             deviations = np.abs(approx.deviations(list(zip(times, values))))
             assert float(deviations.max()) <= 0.5 + 1e-8
 
-    def test_run_arrays_without_close_keeps_accepting(self):
-        streams = StreamSet("swing", epsilon=0.5)
+    def test_observe_batch_then_observe_keeps_accepting(self):
         times, values = walk(51, length=100)
-        streams.run_arrays({"a": (times, values)}, close=False)
-        streams.observe("a", float(times[-1]) + 1.0, float(values[-1]))
-        report = streams.close()
+        mixed = StreamSet("swing", epsilon=0.5)
+        mixed.observe_batch("a", times, values)
+        mixed.observe("a", float(times[-1]) + 1.0, float(values[-1]))
+        per_point = StreamSet("swing", epsilon=0.5)
+        for t, v in zip(times, values):
+            per_point.observe("a", t, v)
+        per_point.observe("a", float(times[-1]) + 1.0, float(values[-1]))
+        report = mixed.close()
         assert report.points == 101
+        assert report.recordings == per_point.close().recordings
+        grid = np.linspace(float(times[0]), float(times[-1]) + 1.0, 100)
+        np.testing.assert_array_equal(
+            mixed.approximation("a").values_at(grid),
+            per_point.approximation("a").values_at(grid),
+        )
 
     def test_archiving_into_sharded_store(self, tmp_path):
         from repro.storage import ShardedStore

@@ -298,18 +298,21 @@ class TestEndToEnd:
             )
         assert not (tmp_path / "other").exists()
 
-    def test_monitoring_pipeline_run_arrays_matches_run(self, noisy_walk):
+    def test_monitoring_pipeline_run_matches_batch_ingestor(self, noisy_walk):
+        """The per-point pipeline and the chunked batch engine record alike."""
         times, values = noisy_walk
-        per_point = MonitoringPipeline("swing", epsilon=1.0).run(zip(times, values))
-        batched = MonitoringPipeline("swing", epsilon=1.0).run_arrays(
-            times, values, chunk_size=256
-        )
+        pipeline = MonitoringPipeline("swing", epsilon=1.0)
+        per_point = pipeline.run(zip(times, values))
+        ingestor = BatchIngestor("swing", 1.0, chunk_size=256)
+        batched = ingestor.run(times, values)
         assert batched.points == per_point.points
         assert batched.recordings == per_point.recordings
-        assert batched.messages_sent == per_point.messages_sent
-        assert batched.bytes_sent == per_point.bytes_sent
-        assert batched.max_absolute_error == pytest.approx(per_point.max_absolute_error)
-
+        received = pipeline.receiver.recordings
+        assert [(r.time, r.kind) for r in ingestor.sink.recordings] == [
+            (r.time, r.kind) for r in received
+        ]
+        for archived, sent in zip(ingestor.sink.recordings, received):
+            assert np.array_equal(archived.value, sent.value)
 
 class TestStoreSinkSharded:
     def test_store_sink_creates_sharded_store(self, tmp_path):

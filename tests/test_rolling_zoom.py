@@ -1,16 +1,16 @@
 """Rolling-window and zoom-pyramid parity against the decode path.
 
 The second act of the query engine — the array window composer behind
-rolling windows (:meth:`StreamQueryPlan.window_aggregates` with a ``step``), the
-multi-resolution zoom pyramid (:mod:`repro.queries.pyramid` over
-:func:`repro.storage.summaries.build_pyramid`) and the warm-started tangent
-searches — must agree with the reference decode path within the documented
-1e-9 tolerance.  These tests fuzz that contract across filters, shard
-counts, step/width ratios and live-tail merges, and pin the structural
-guarantees: zoom answers are budget-bounded and decode at most the two
-viewport-cut blocks, pyramid levels survive append/compact/truncate
-round-trips bit-identically to a cold rebuild, and lazy summary backfill
-persists exactly once and never writes through a read path.
+rolling windows (:meth:`StreamQueryPlan.window_aggregates` with a ``step``)
+and the multi-resolution zoom pyramid (:mod:`repro.queries.pyramid` over
+:func:`repro.storage.summaries.build_pyramid`) — must agree with the
+reference decode path within the documented 1e-9 tolerance.  These tests
+fuzz that contract across filters, shard counts, step/width ratios and
+live-tail merges, and pin the structural guarantees: zoom answers are
+budget-bounded and decode at most the two viewport-cut blocks, pyramid
+levels survive append/compact/truncate round-trips bit-identically to a
+cold rebuild, and lazy summary backfill persists exactly once and never
+writes through a read path.
 """
 
 from __future__ import annotations
@@ -631,55 +631,3 @@ class TestSummaryBackfill:
         for name in ["a", "b", "c", "d"]:
             third.summary_range(name)
         assert not flush_counter
-
-
-# --------------------------------------------------------------------------- #
-# Warm-started tangent searches
-# --------------------------------------------------------------------------- #
-class TestTangentHints:
-    @pytest.mark.parametrize("seed", [3, 11, 19])
-    def test_any_hint_matches_cold_search(self, seed):
-        from repro.geometry.hull import IncrementalConvexHull
-        from repro.geometry.tangents import (
-            max_slope_lower_tangent_search,
-            min_slope_upper_tangent_search,
-        )
-
-        rng = np.random.default_rng(seed)
-        times = np.cumsum(rng.uniform(0.1, 1.0, 300))
-        values = np.cumsum(rng.normal(0.0, 1.0, 300))
-        hull = IncrementalConvexHull()
-        hull.add_many(times, values)
-        t_new = float(times[-1]) + 1.0
-        for search, chain in (
-            (min_slope_upper_tangent_search, hull.upper_chain()),
-            (max_slope_lower_tangent_search, hull.lower_chain()),
-        ):
-            chain_t, chain_x = chain
-            for _ in range(60):
-                x_new = float(rng.normal(values[-1], 20.0))
-                cold_line, cold_index = search(chain_t, chain_x, t_new, x_new, 0.25)
-                # Every hint — exact, stale, negative, out of range — must
-                # yield the identical line and support index.
-                for hint in (-5, 0, cold_index, cold_index + 1, 10**6):
-                    line, index = search(
-                        chain_t, chain_x, t_new, x_new, 0.25, hint=hint
-                    )
-                    assert index == cold_index
-                    assert line.slope == cold_line.slope
-                    assert line.intercept == cold_line.intercept
-
-    def test_slide_recordings_unchanged_by_hints(self):
-        """Hull-mode slide output still matches the list-scan reference."""
-        rng = np.random.default_rng(23)
-        times = np.cumsum(rng.uniform(0.2, 1.0, 1200))
-        values = np.cumsum(rng.normal(0.0, 1.0, 1200)).reshape(-1, 1)
-        hinted = create_filter("slide", 0.5)
-        reference = create_filter("slide", 0.5, use_convex_hull=False)
-        got = hinted.process_batch(times, values) + hinted.finish()
-        ref = reference.process_batch(times, values) + reference.finish()
-        assert len(got) == len(ref)
-        for g, r in zip(got, ref):
-            assert g.kind == r.kind
-            assert g.time == r.time
-            np.testing.assert_allclose(g.value, r.value, rtol=1e-9, atol=1e-9)
