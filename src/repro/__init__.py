@@ -12,9 +12,9 @@ The package provides:
 * a transmitter/receiver streaming substrate (:mod:`repro.streams`),
 * synthetic workload generators and a sea-surface-temperature surrogate
   (:mod:`repro.data`),
-* a vectorized batch ingestion pipeline with pluggable recording sinks
-  (:mod:`repro.pipeline`),
-* a multi-process, async, checkpointable ingestion runtime built on
+* the chunked write path's building blocks — chunking and the buffered
+  store sink (:mod:`repro.pipeline`),
+* multi-process fan-out, async chunk sources and checkpoints built on
   snapshot/restorable filter state (:mod:`repro.runtime`),
 * compression / error / timing metrics (:mod:`repro.metrics`),
 * the experiment harness regenerating every figure of the paper's evaluation
@@ -74,7 +74,7 @@ from repro.core import (
     register_filter,
     restore_filter,
 )
-from repro.pipeline import BatchIngestor, IngestReport, ListSink, StoreSink
+from repro.pipeline import IngestReport, StoreSink
 from repro.runtime import CheckpointManager, IngestCheckpoint, ParallelIngestor, StreamTask
 from repro.storage import (
     DEFAULT_SHARDS,
@@ -122,10 +122,8 @@ __all__ = [
     "PiecewiseLinearApproximation",
     "PiecewiseConstantApproximation",
     "reconstruct",
-    # Ingestion engines (repro.pipeline / repro.runtime)
-    "BatchIngestor",
+    # Ingestion (repro.pipeline / repro.runtime)
     "IngestReport",
-    "ListSink",
     "StoreSink",
     "ParallelIngestor",
     "StreamTask",

@@ -3,17 +3,17 @@
 The paper's value proposition is end-to-end: ε-bounded filtering at the
 transmitter, archival of the recordings, and precision-guaranteed querying
 at the receiver.  :class:`StreamDB` is the one public way to run that flow.
-A session owns an open store and routes every operation to the right
-engine:
+A session owns an open store, and every write to it goes through one live
+writer per stream:
 
-* :meth:`ingest` — complete workloads, dispatched to the vectorized
-  :class:`~repro.pipeline.ingest.BatchIngestor`, the checkpointed
-  :func:`~repro.runtime.ingest.ingest_stream_checkpointed` runner, the
-  async chunk bridge, or (via :meth:`ingest_many`) the shard-aligned
-  multi-process :class:`~repro.runtime.parallel.ParallelIngestor` —
-  depending only on the validated :class:`~repro.api.specs.IngestSpec`;
 * :meth:`append` / :meth:`seal` — live, incremental writing with buffered
   archiving;
+* :meth:`ingest` / :meth:`aingest` — complete workloads through the same
+  writer: the stream is made live, every chunk goes through :meth:`append`
+  and :meth:`seal` ends it, checkpointed (and resumed) like one stream's
+  :meth:`snapshot` (and :meth:`restore`); only split-dimension and
+  multi-stream workloads fan out, through :meth:`ingest_many` and the
+  shard-aligned multi-process :class:`~repro.runtime.parallel.ParallelIngestor`;
 * :meth:`query` / :meth:`aggregate` / :meth:`crossings` /
   :meth:`resample` / :meth:`zoom` — answered uniformly over the stored
   recordings *plus* any live filter's in-flight state: the live filter is
@@ -40,6 +40,7 @@ from __future__ import annotations
 import asyncio
 import functools
 import threading
+import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import (
@@ -63,7 +64,8 @@ from repro.core.base import StreamFilter, check_finite
 from repro.core.registry import restore_filter
 from repro.core.state import FilterState
 from repro.core.types import Recording
-from repro.pipeline.ingest import BatchIngestor, IngestReport
+from repro.pipeline.chunking import iter_chunks, skip_points
+from repro.pipeline.ingest import IngestReport
 from repro.pipeline.sinks import StoreSink
 from repro.queries.aggregates import RangeAggregate, threshold_crossings
 from repro.queries.planner import (
@@ -75,7 +77,6 @@ from repro.queries.planner import (
 )
 from repro.queries.pyramid import DEFAULT_MAX_POINTS, ZoomCell, plan_zoom
 from repro.runtime.checkpoint import CheckpointManager, IngestCheckpoint
-from repro.runtime.ingest import ingest_stream_checkpointed
 from repro.runtime.parallel import ParallelIngestReport, ParallelIngestor, StreamTask
 from repro.storage import SegmentStore, ShardedStore, StoreLike
 from repro.storage.segment_store import StoredStream
@@ -177,6 +178,61 @@ def _synchronized(method):
             return method(self, *args, **kwargs)
 
     return wrapper
+
+
+def _epsilon_vector(spec) -> Optional[np.ndarray]:
+    """Normalize an ε spec for comparison (``None`` when not comparable)."""
+    epsilons = getattr(spec, "epsilons", spec)  # unwrap an ErrorBound
+    try:
+        return np.atleast_1d(np.asarray(epsilons, dtype=float))
+    except (TypeError, ValueError):
+        return None
+
+
+def _check_resume_config(
+    stream: str, checkpoint: IngestCheckpoint, filter_name: str, epsilon
+) -> None:
+    """Refuse to resume under a different filter or precision width.
+
+    The checkpointed config is what governs the resumed run
+    (:func:`restore_filter` rebuilds the filter from it); silently accepting
+    different request arguments would make the caller believe the remainder
+    of the stream was compressed with them.
+    """
+    state = checkpoint.filter_state
+    if filter_name != state.filter_name:
+        raise ValueError(
+            f"checkpoint for {stream!r} was written by the {state.filter_name!r} "
+            f"filter, cannot resume with {filter_name!r}"
+        )
+    ours = _epsilon_vector(epsilon)
+    theirs = _epsilon_vector(state.config.get("epsilon"))
+    if ours is not None and theirs is not None and not np.array_equal(ours, theirs):
+        raise ValueError(
+            f"checkpoint for {stream!r} was written with epsilon "
+            f"{theirs.tolist()}, cannot resume with {ours.tolist()}"
+        )
+
+
+def _bulk_report(
+    stream_filter: StreamFilter, before: Tuple[int, int], chunks: int, elapsed: float
+) -> IngestReport:
+    """What one bulk run added: the change in the filter's counters since
+    ``before`` (its ``points_processed`` and ``recording_count``)."""
+    points = stream_filter.points_processed - before[0]
+    recordings = stream_filter.recording_count - before[1]
+    if recordings:
+        ratio = points / recordings
+    else:
+        ratio = float("inf") if points else 0.0
+    return IngestReport(
+        filter_name=stream_filter.name,
+        points=points,
+        recordings=recordings,
+        chunks=chunks,
+        compression_ratio=ratio,
+        elapsed_seconds=elapsed,
+    )
 
 
 class StreamDB:
@@ -306,20 +362,31 @@ class StreamDB:
     ) -> Union[IngestReport, ParallelIngestReport]:
         """Ingest one complete workload into ``stream``.
 
-        The workload is either monolithic arrays (``times`` + ``values``)
-        or a ``source`` — an iterable (or *async* iterable) of
-        ``(times, values)`` chunk pairs.  Keyword overrides apply on top of
-        the session's :class:`IngestSpec`; the engine is chosen from the
-        effective spec:
+        The workload is either monolithic arrays (``times`` + ``values``,
+        cut into ``chunk_size`` chunks) or a ``source`` — an iterable (or
+        *async* iterable) of ``(times, values)`` chunk pairs.  Keyword
+        overrides apply on top of the session's :class:`IngestSpec`.
+
+        The stream gets a live writer that archives every recording as it
+        is emitted, each chunk goes through :meth:`append`, and
+        :meth:`seal` ends the stream: recording listeners see a bulk ingest
+        chunk by chunk, and the stream is listed as live while it runs.  A
+        run that fails drops the writer unfinished; the chunks archived
+        before the failure stay.
+
+        With ``checkpoint`` set, the stream's filter state and stored
+        length are saved as :meth:`snapshot` saves them, before the first
+        chunk, every ``checkpoint_every`` chunks and (marked complete) after
+        the seal; ``resume`` continues from that checkpoint as
+        :meth:`restore` does, skipping the points it covers.  Two cases fan
+        out instead:
 
         * ``split_dimensions`` (or ``workers > 1``) — the workload is
-          stored as per-dimension streams through the shard-aligned
-          :class:`ParallelIngestor` (requires a sharded store; the layout
-          is independent of the worker count),
-        * ``checkpoint`` — the checkpointed, resumable runner,
-        * an async ``source`` — the async chunk bridge (run to completion
-          on a fresh event loop; call :meth:`aingest` from inside one),
-        * otherwise — the plain vectorized batch engine.
+          stored as per-dimension streams through :meth:`ingest_many`
+          (requires a sharded store; the layout is independent of the
+          worker count),
+        * an async ``source`` — :meth:`aingest`, run to completion on a
+          fresh event loop (call it directly from inside one).
 
         Returns:
             An :class:`IngestReport` (or a :class:`ParallelIngestReport`
@@ -328,7 +395,8 @@ class StreamDB:
         Raises:
             ValueError: On conflicting workload arguments, a live writer on
                 ``stream``, ``workers > 1`` without ``split_dimensions``,
-                or a split ingest into an unsharded store.
+                a split ingest into an unsharded store, or a checkpoint the
+                run cannot resume from.
         """
         self._check_open()
         spec = self._ingest_spec.merged(
@@ -360,51 +428,92 @@ class StreamDB:
                         "checkpointing is not supported for async sources; "
                         "drain the source into arrays or a sync chunk iterable"
                     )
-                return asyncio.run(
-                    self.aingest(stream, source, filter=fspec, chunk_size=spec.chunk_size)
+                return asyncio.run(self.aingest(stream, source, filter=fspec))
+        else:
+            if times is None or values is None:
+                raise ValueError("times and values must be given together")
+            times = np.asarray(times, dtype=float)
+            values = np.asarray(values, dtype=float)
+            if spec.split_dimensions:
+                return self._ingest_split(stream, times, values, fspec, spec)
+        stream_filter = fspec.create(values)  # raises when ε is unresolvable
+        epsilon = fspec.epsilon_list(values)
+        manager = None if spec.checkpoint is None else CheckpointManager(spec.checkpoint)
+        skip = 0
+        previous = manager.load(stream) if spec.resume else None
+        if previous is None:
+            if spec.resume and stream in self._store and self._store.describe(stream).recordings:
+                # Checkpointed runs save a checkpoint before their first
+                # chunk, so this data is not theirs: it may be a legitimate
+                # earlier ingest — refuse rather than truncate or append.
+                raise ValueError(
+                    f"no checkpoint found for stream {stream!r} but the store "
+                    "already holds data for it; delete the stream (or point "
+                    "--checkpoint at the directory the original run used) "
+                    "before resuming"
                 )
-            if spec.checkpoint is not None:
-                report = ingest_stream_checkpointed(
-                    self._store,
-                    stream,
-                    fspec.name,
-                    fspec.resolve(None),
-                    chunks=source,
-                    chunk_size=spec.chunk_size,
-                    checkpoint=spec.checkpoint,
-                    checkpoint_every=spec.checkpoint_every,
-                    resume=spec.resume,
-                    **fspec.filter_kwargs(),
+        elif previous.complete:
+            stored = self._store.describe(stream).recordings if stream in self._store else 0
+            if stored < previous.recordings_stored:
+                raise ValueError(
+                    f"checkpoint marks {stream!r} complete with "
+                    f"{previous.recordings_stored} recordings but the store "
+                    f"holds {stored} — wrong --store, or the store was "
+                    "deleted after the run finished"
                 )
-                self._store.flush()
-                return report
-            ingestor = self._batch_ingestor(stream, fspec, spec.chunk_size, values=None)
-            ingestor.ingest_stream(source)
-            return ingestor.close()
-        if times is None or values is None:
-            raise ValueError("times and values must be given together")
-        times = np.asarray(times, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if spec.split_dimensions:
-            return self._ingest_split(stream, times, values, fspec, spec)
-        if spec.checkpoint is not None:
-            report = ingest_stream_checkpointed(
-                self._store,
-                stream,
-                fspec.name,
-                fspec.resolve(values),
-                times,
-                values,
-                chunk_size=spec.chunk_size,
-                checkpoint=spec.checkpoint,
-                checkpoint_every=spec.checkpoint_every,
-                resume=spec.resume,
-                **fspec.filter_kwargs(),
+            return IngestReport(
+                filter_name=fspec.name
+                if previous.filter_state is None
+                else previous.filter_state.filter_name,
+                points=0,
+                recordings=0,
+                chunks=0,
+                compression_ratio=0.0,
+                elapsed_seconds=0.0,
             )
-            self._store.flush()
-            return report
-        ingestor = self._batch_ingestor(stream, fspec, spec.chunk_size, values=values)
-        return ingestor.run(times, values)
+        else:
+            if source is None and previous.chunk_size != spec.chunk_size:
+                # Chunk boundaries decide the batch path's recordings.
+                raise ValueError(
+                    f"checkpoint for {stream!r} was written with chunk_size "
+                    f"{previous.chunk_size}, cannot resume with {spec.chunk_size}"
+                )
+            _check_resume_config(stream, previous, stream_filter.name, epsilon)
+            self._check_stored_length(previous)
+            self._roll_back(previous)
+            stream_filter = restore_filter(previous.filter_state)
+            skip = previous.points_ingested
+        if source is None:
+            chunks = iter_chunks(times[skip:], values[skip:], spec.chunk_size)
+        elif manager is not None:
+            chunks = skip_points(source, skip)
+        else:
+            chunks = source
+        before = (stream_filter.points_processed, stream_filter.recording_count)
+        self._install_live(stream, stream_filter, epsilon, archive_batch=1)
+        started = time.perf_counter()
+        count = 0
+        try:
+            if manager is not None and skip == 0:
+                # From here on a kill at any point leaves a checkpoint to
+                # resume from, at the stream's length before this run.
+                self._save_checkpoint(manager, stream, stream_filter, spec.chunk_size)
+            for chunk_times, chunk_values in chunks:
+                self.append(stream, chunk_times, chunk_values)
+                count += 1
+                if manager is not None and count % spec.checkpoint_every == 0:
+                    self._save_checkpoint(manager, stream, stream_filter, spec.chunk_size)
+            self.seal(stream)
+            if manager is not None:
+                self._save_checkpoint(
+                    manager, stream, stream_filter, spec.chunk_size, complete=True
+                )
+        except BaseException:
+            # Dropped unfinished: every chunk archived before the failure
+            # stays (nothing is buffered at archive_batch=1).
+            self._live.pop(stream, None)
+            raise
+        return _bulk_report(stream_filter, before, count, time.perf_counter() - started)
 
     async def aingest(
         self,
@@ -412,24 +521,36 @@ class StreamDB:
         source,
         *,
         filter: Optional[FilterSpec] = None,
-        chunk_size: int = UNSET,
     ) -> IngestReport:
         """Ingest an async iterable of ``(times, values)`` chunk pairs.
 
-        The coroutine-producing source is awaited between chunks while each
-        chunk runs through the same vectorized batch engine as
-        :meth:`ingest`.
+        :meth:`ingest`'s loop over an async source: the source is awaited
+        between chunks, each chunk goes through :meth:`append` (holding the
+        session lock for that chunk only) and :meth:`seal` ends the stream.
+        Async sources take the chunks as they come and are not checkpointed.
         """
         self._check_open()
-        spec = self._ingest_spec.merged(chunk_size=chunk_size)
         fspec = filter if filter is not None else self._require_filter_spec()
         if stream in self._live:
             raise ValueError(
                 f"stream {stream!r} has a live writer; seal it before bulk ingestion"
             )
-        ingestor = self._batch_ingestor(stream, fspec, spec.chunk_size, values=None)
-        await ingestor.aingest_stream(source)
-        return ingestor.close()
+        stream_filter = fspec.create()
+        before = (stream_filter.points_processed, stream_filter.recording_count)
+        with self._mutex:
+            self._install_live(stream, stream_filter, fspec.epsilon_list(), archive_batch=1)
+        started = time.perf_counter()
+        count = 0
+        try:
+            async for times, values in source:
+                self.append(stream, times, values)
+                count += 1
+            self.seal(stream)
+        except BaseException:
+            with self._mutex:
+                self._live.pop(stream, None)
+            raise
+        return _bulk_report(stream_filter, before, count, time.perf_counter() - started)
 
     @_synchronized
     def ingest_many(
@@ -561,13 +682,6 @@ class StreamDB:
             checkpoint_every=spec.checkpoint_every,
             resume=spec.resume,
         )
-
-    def _batch_ingestor(
-        self, stream: str, fspec: FilterSpec, chunk_size: int, values
-    ) -> BatchIngestor:
-        stream_filter = fspec.create(values)  # raises when ε is unresolvable
-        sink = StoreSink(self._store, stream, epsilon=fspec.epsilon_list(values))
-        return BatchIngestor(stream_filter, chunk_size=chunk_size, sink=sink)
 
     # ------------------------------------------------------------------ #
     # Live writing
@@ -1014,22 +1128,11 @@ class StreamDB:
         states: Dict[str, FilterState] = {}
         for name in sorted(self._live):
             live = self._live[name]
-            states[name] = live.filter.snapshot()
-            if manager is not None:
-                if name in self._store:
-                    self._store.sync(name)
-                stored = (
-                    self._store.describe(name).recordings if name in self._store else 0
-                )
-                manager.save(
-                    IngestCheckpoint(
-                        stream=name,
-                        filter_state=states[name],
-                        points_ingested=live.filter.points_processed,
-                        recordings_stored=stored,
-                        chunk_size=self._ingest_spec.chunk_size,
-                        complete=False,
-                    )
+            if manager is None:
+                states[name] = live.filter.snapshot()
+            else:
+                states[name] = self._save_checkpoint(
+                    manager, name, live.filter, self._ingest_spec.chunk_size
                 )
         return states
 
@@ -1092,17 +1195,11 @@ class StreamDB:
         # the restore failed.
         self._check_not_live(checkpoint.stream for checkpoint in checkpoints)
         for checkpoint in checkpoints:
-            if checkpoint.stream not in self._store and checkpoint.recordings_stored > 0:
-                raise ValueError(
-                    f"checkpoint for {checkpoint.stream!r} expects "
-                    f"{checkpoint.recordings_stored} stored recordings but the "
-                    "store does not know the stream"
-                )
+            self._check_stored_length(checkpoint)
         restored: List[str] = []
         for checkpoint in checkpoints:
             name = checkpoint.stream
-            if name in self._store:
-                self._store.truncate_stream(name, checkpoint.recordings_stored)
+            self._roll_back(checkpoint)
             self._install_live(name, restore_filter(checkpoint.filter_state))
             restored.append(name)
         self._store.flush()
@@ -1115,17 +1212,79 @@ class StreamDB:
                 f"stream(s) {', '.join(conflicting)} already have a live writer"
             )
 
-    def _install_live(self, stream: str, stream_filter: StreamFilter) -> None:
+    def _check_stored_length(self, checkpoint: IngestCheckpoint) -> None:
+        """Refuse a checkpoint whose recordings the store does not hold."""
+        if checkpoint.stream not in self._store and checkpoint.recordings_stored > 0:
+            raise ValueError(
+                f"checkpoint for {checkpoint.stream!r} expects "
+                f"{checkpoint.recordings_stored} stored recordings but the "
+                "store does not know the stream"
+            )
+
+    def _roll_back(self, checkpoint: IngestCheckpoint) -> None:
+        """Drop the recordings archived after ``checkpoint`` was saved."""
+        if checkpoint.stream in self._store:
+            self._store.truncate_stream(checkpoint.stream, checkpoint.recordings_stored)
+
+    def _save_checkpoint(
+        self,
+        manager: CheckpointManager,
+        stream: str,
+        stream_filter: StreamFilter,
+        chunk_size: int,
+        complete: bool = False,
+    ) -> FilterState:
+        """Persist ``stream``'s filter state and stored length atomically.
+
+        The checkpoint records a durable fact about the store, so the log
+        and catalog are fsynced before it: a power loss must never leave a
+        checkpoint claiming recordings the page cache still owned.
+
+        Returns:
+            The filter snapshot the checkpoint holds.
+        """
+        if stream in self._store:
+            self._store.sync(stream)
+        else:
+            self._store.flush()
+        stored = self._store.describe(stream).recordings if stream in self._store else 0
+        state = stream_filter.snapshot()
+        manager.save(
+            IngestCheckpoint(
+                stream=stream,
+                filter_state=state,
+                points_ingested=stream_filter.points_processed,
+                recordings_stored=stored,
+                chunk_size=chunk_size,
+                complete=complete,
+            )
+        )
+        return state
+
+    def _install_live(
+        self,
+        stream: str,
+        stream_filter: StreamFilter,
+        epsilon: Optional[Sequence[float]] = None,
+        archive_batch: Optional[int] = None,
+    ) -> None:
+        """Make ``stream_filter`` the live writer of ``stream``.
+
+        ``epsilon`` is the width recorded in the stream's catalog entry
+        (default: the filter's resolved width); ``archive_batch`` defaults
+        to the session's.
+        """
         if stream in self._live:
             raise ValueError(f"stream {stream!r} already has a live writer")
-        epsilon = stream_filter.epsilon
+        if epsilon is None and stream_filter.epsilon is not None:
+            epsilon = stream_filter.epsilon.epsilons
         self._live[stream] = _LiveStream(
             filter=stream_filter,
             sink=StoreSink(
                 self._store,
                 stream,
-                epsilon=None if epsilon is None else epsilon.epsilons,
-                archive_batch=self._archive_batch,
+                epsilon=epsilon,
+                archive_batch=self._archive_batch if archive_batch is None else archive_batch,
             ),
         )
 

@@ -8,7 +8,7 @@ dataclasses instead of loose keyword soup:
   lazily against the workload),
 * :class:`StorageSpec` — how the backing store is laid out (shard count,
   byte-level backend, block-index granularity),
-* :class:`IngestSpec` — how workloads are driven through the engines
+* :class:`IngestSpec` — how workloads are driven through the ingest loop
   (chunking, worker processes, checkpointing cadence).
 
 Every spec validates at construction, so a bad configuration fails before
@@ -27,7 +27,7 @@ from repro.core.base import StreamFilter
 from repro.core.epsilon import ErrorBound, epsilon_from_percent
 from repro.core.registry import FILTER_REGISTRY, available_filters, create_filter
 from repro.pipeline.chunking import DEFAULT_CHUNK_SIZE
-from repro.runtime.ingest import DEFAULT_CHECKPOINT_EVERY
+from repro.runtime.checkpoint import DEFAULT_CHECKPOINT_EVERY
 from repro.storage import StoreLike, open_store
 
 __all__ = ["FilterSpec", "StorageSpec", "IngestSpec", "UNSET"]
@@ -205,7 +205,7 @@ class StorageSpec:
 
 @dataclass(frozen=True)
 class IngestSpec:
-    """How workloads are driven through the ingestion engines.
+    """How :meth:`~repro.api.session.StreamDB.ingest` drives workloads.
 
     Attributes:
         chunk_size: Points per chunk on the vectorized batch path.

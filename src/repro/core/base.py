@@ -170,12 +170,13 @@ class StreamFilter(abc.ABC):
     def process_batch(self, times, values) -> List[Recording]:
         """Process a chunk of points at once and return the emitted recordings.
 
-        This is the vectorized fast path used by
-        :class:`repro.pipeline.BatchIngestor`.  It is behaviourally equivalent
-        to feeding every point through :meth:`feed` in order — filters that
-        override :meth:`_process_batch` guarantee *identical* recordings — but
-        amortizes validation, ε resolution and (for the filters that vectorize
-        their inner loop) the per-point work over the whole chunk.
+        This is the vectorized fast path every chunk written through
+        :meth:`repro.api.session.StreamDB.append` takes.  It is behaviourally
+        equivalent to feeding every point through :meth:`feed` in order —
+        filters that override :meth:`_process_batch` guarantee *identical*
+        recordings — but amortizes validation, ε resolution and (for the
+        filters that vectorize their inner loop) the per-point work over the
+        whole chunk.
 
         Args:
             times: 1-D array of timestamps, strictly increasing and strictly

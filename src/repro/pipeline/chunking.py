@@ -4,18 +4,19 @@ Streams arrive either as one pair of large arrays (offline replay of a
 recorded signal) or as a sequence of already-chunked array pairs (live
 ingestion).  :func:`iter_chunks` normalizes the first form into the second;
 :func:`normalize_chunk` validates and coerces one chunk into the
-``(times, values)`` float arrays the filters' batch fast path expects.
+``(times, values)`` float arrays the filters' batch fast path expects;
+:func:`skip_points` drops the points a resumed ingest has already consumed.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
+from typing import Iterable, Iterator, Tuple
 
 import numpy as np
 
 from repro.core.base import check_finite
 
-__all__ = ["DEFAULT_CHUNK_SIZE", "iter_chunks", "normalize_chunk"]
+__all__ = ["DEFAULT_CHUNK_SIZE", "iter_chunks", "normalize_chunk", "skip_points"]
 
 #: Default number of points per chunk.  Large enough to amortize the
 #: per-chunk NumPy dispatch overhead, small enough to keep the temporary
@@ -62,3 +63,23 @@ def iter_chunks(times, values, chunk_size: int = DEFAULT_CHUNK_SIZE) -> Iterator
     for start in range(0, times.shape[0], chunk_size):
         stop = start + chunk_size
         yield times[start:stop], values[start:stop]
+
+
+def skip_points(
+    chunks: Iterable[Tuple[np.ndarray, np.ndarray]], skip: int
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Drop the first ``skip`` points from a chunk iterable (resume path).
+
+    Every chunk is normalized (:func:`normalize_chunk`); chunks the skip
+    covers entirely, and empty chunks, are dropped.
+    """
+    remaining = skip
+    for times, values in chunks:
+        times, values = normalize_chunk(times, values)
+        if remaining >= times.shape[0]:
+            remaining -= times.shape[0]
+            continue
+        if remaining > 0:
+            times, values = times[remaining:], values[remaining:]
+            remaining = 0
+        yield times, values

@@ -1,28 +1,15 @@
-"""Vectorized batch ingestion driving any registered filter.
+"""The summary of one bulk ingestion run.
 
-:class:`BatchIngestor` is the write side of the reproduction's scaling story:
-it accepts a stream as chunked NumPy arrays (timestamps plus multi-dimensional
-values), drives a :class:`~repro.core.base.StreamFilter` over each chunk
-through the :meth:`~repro.core.base.StreamFilter.process_batch` fast path, and
-forwards the emitted recordings to a pluggable
-:class:`~repro.pipeline.sinks.RecordingSink`.  Filters with a vectorized
-``_process_batch`` (swing, slide, linear, cache) process each chunk with
-amortized NumPy scans; any other filter transparently falls back to its
-per-point hook, so the ingestor works for every registry entry.
+:meth:`~repro.api.session.StreamDB.ingest` and
+:meth:`~repro.api.session.StreamDB.aingest` return an :class:`IngestReport`
+for the stream they wrote.
 """
 
 from __future__ import annotations
 
-import time as _time
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple, Union
 
-from repro.core.base import StreamFilter
-from repro.core.registry import create_filter
-from repro.pipeline.chunking import DEFAULT_CHUNK_SIZE, iter_chunks
-from repro.pipeline.sinks import ListSink, RecordingSink
-
-__all__ = ["IngestReport", "BatchIngestor"]
+__all__ = ["IngestReport"]
 
 
 @dataclass(frozen=True)
@@ -36,7 +23,7 @@ class IngestReport:
         chunks: Chunks processed.
         compression_ratio: ``points / recordings`` (``inf`` when nothing was
             recorded, ``0`` for an empty stream).
-        elapsed_seconds: Wall-clock time spent inside the ingestor.
+        elapsed_seconds: Wall-clock time of the run's chunk loop.
         points_per_second: Ingestion throughput (``0`` for an empty run).
     """
 
@@ -52,127 +39,3 @@ class IngestReport:
         if self.elapsed_seconds <= 0.0:
             return 0.0
         return self.points / self.elapsed_seconds
-
-
-class BatchIngestor:
-    """Chunked, vectorized ingestion of one stream through one filter.
-
-    Args:
-        stream_filter: A filter instance or a registered filter name.
-        epsilon: Precision width, required when ``stream_filter`` is a name.
-        chunk_size: Points per chunk when splitting monolithic arrays.
-        sink: Destination for emitted recordings; defaults to an in-memory
-            :class:`ListSink`.
-        **filter_kwargs: Extra options forwarded when building by name.
-
-    The ingestor is single-use, mirroring the filter it wraps: after
-    :meth:`close` (or :meth:`ingest`'s implicit close via :meth:`run`) no more
-    chunks can be pushed.
-    """
-
-    def __init__(
-        self,
-        stream_filter: Union[StreamFilter, str],
-        epsilon=None,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        sink: Optional[RecordingSink] = None,
-        **filter_kwargs,
-    ) -> None:
-        if isinstance(stream_filter, str):
-            if epsilon is None:
-                raise ValueError("epsilon is required when the filter is given by name")
-            stream_filter = create_filter(stream_filter, epsilon, **filter_kwargs)
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-        self.filter = stream_filter
-        self.sink = sink if sink is not None else ListSink()
-        self.chunk_size = chunk_size
-        self._points = 0
-        self._chunks = 0
-        self._recordings = 0
-        self._elapsed = 0.0
-        self._closed = False
-
-    # ------------------------------------------------------------------ #
-    # Ingestion
-    # ------------------------------------------------------------------ #
-    def ingest(self, times, values) -> None:
-        """Ingest one array pair, splitting it into ``chunk_size`` chunks."""
-        for chunk_times, chunk_values in iter_chunks(times, values, self.chunk_size):
-            self.ingest_chunk(chunk_times, chunk_values)
-
-    def ingest_chunk(self, times, values) -> None:
-        """Ingest exactly one chunk (no further splitting).
-
-        Raises:
-            RuntimeError: If the ingestor has already been closed.
-        """
-        if self._closed:
-            raise RuntimeError("ingestor has already been closed")
-        started = _time.perf_counter()
-        before = self.filter.points_processed
-        recordings = self.filter.process_batch(times, values)
-        self.sink.write(recordings)
-        self._elapsed += _time.perf_counter() - started
-        self._points += self.filter.points_processed - before
-        self._chunks += 1
-        self._recordings += len(recordings)
-
-    def ingest_stream(self, chunks: Iterable[Tuple]) -> None:
-        """Ingest an iterable of ``(times, values)`` chunk pairs."""
-        for chunk_times, chunk_values in chunks:
-            self.ingest_chunk(chunk_times, chunk_values)
-
-    async def aingest_stream(self, chunks) -> None:
-        """Ingest an *async* iterable of ``(times, values)`` chunk pairs.
-
-        Bridges coroutine-producing sources (see
-        :mod:`repro.runtime.async_source`) into the same chunked batch path
-        as :meth:`ingest_stream`: each chunk is processed synchronously once
-        it arrives — filters are cheap per chunk, so the event loop is only
-        held for one vectorized scan at a time — while the source is awaited
-        between chunks.
-        """
-        async for chunk_times, chunk_values in chunks:
-            self.ingest_chunk(chunk_times, chunk_values)
-
-    def close(self) -> IngestReport:
-        """Finish the stream, flush final recordings, and return the report."""
-        if not self._closed:
-            started = _time.perf_counter()
-            final = self.filter.finish()
-            self.sink.write(final)
-            self.sink.close()
-            self._elapsed += _time.perf_counter() - started
-            self._recordings += len(final)
-            self._closed = True
-        return self.report()
-
-    def run(self, times, values) -> IngestReport:
-        """One-call convenience: ingest the arrays, close, return the report."""
-        self.ingest(times, values)
-        return self.close()
-
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
-    def report(self) -> IngestReport:
-        """Return the summary of what *this ingestor* processed.
-
-        A filter instance that saw points before being handed to the
-        ingestor keeps them in its own ``points_processed``; they are not
-        attributed to this report.
-        """
-        points = self._points
-        if self._recordings:
-            ratio = points / self._recordings
-        else:
-            ratio = float("inf") if points else 0.0
-        return IngestReport(
-            filter_name=self.filter.name,
-            points=points,
-            recordings=self._recordings,
-            chunks=self._chunks,
-            compression_ratio=ratio,
-            elapsed_seconds=self._elapsed,
-        )

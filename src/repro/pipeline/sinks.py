@@ -1,116 +1,53 @@
-"""Pluggable recording sinks for the batch ingestion pipeline.
+"""Buffered archiving of one stream's recordings into a store.
 
-A sink receives the recordings a filter emits — one call per ingested chunk
-plus one final call for the end-of-stream recordings — and forwards them to
-wherever they should live: an in-memory list, a :class:`SegmentStore` stream,
-a user callback, or nowhere (throughput measurements).  Sinks receive
-recordings in emission order, which for every filter in this library is also
-non-decreasing time order.
+:class:`StoreSink` receives the recordings a live filter emits — one call
+per ingested chunk plus one for the end-of-stream recordings — and appends
+them to a :class:`~repro.storage.segment_store.SegmentStore` (or sharded)
+stream in ``archive_batch``-sized batches; :func:`flush_buffered` makes
+each append happen exactly once.  Recordings arrive in emission order,
+which for every filter in this library is also non-decreasing time order.
 """
 
 from __future__ import annotations
 
-import abc
 import errno
 import time
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.errors import DegradedSinkError
 from repro.core.types import Recording
-from repro.storage import SegmentStore, ShardedStore, open_store
+from repro.storage import StoreLike
 
-__all__ = [
-    "RecordingSink",
-    "ListSink",
-    "NullSink",
-    "CallbackSink",
-    "StoreSink",
-    "flush_buffered",
-]
+__all__ = ["StoreSink", "flush_buffered"]
 
 
-class RecordingSink(abc.ABC):
-    """Destination for the recordings produced by a :class:`BatchIngestor`."""
-
-    @abc.abstractmethod
-    def write(self, recordings: Sequence[Recording]) -> None:
-        """Accept one batch of recordings (possibly empty)."""
-
-    def flush(self) -> None:
-        """Persist anything buffered (default: no-op).  Idempotent."""
-
-    def close(self) -> None:
-        """Flush and release any resources (default: no-op).  Idempotent."""
-
-
-class ListSink(RecordingSink):
-    """Collect every recording in an in-memory list."""
-
-    def __init__(self) -> None:
-        self.recordings: List[Recording] = []
-
-    def write(self, recordings: Sequence[Recording]) -> None:
-        self.recordings.extend(recordings)
-
-
-class NullSink(RecordingSink):
-    """Discard recordings, keeping only a count (for throughput benchmarks)."""
-
-    def __init__(self) -> None:
-        self.count = 0
-
-    def write(self, recordings: Sequence[Recording]) -> None:
-        self.count += len(recordings)
-
-
-class CallbackSink(RecordingSink):
-    """Invoke ``callback(recordings)`` for every non-empty batch."""
-
-    def __init__(self, callback: Callable[[Sequence[Recording]], None]) -> None:
-        self._callback = callback
-
-    def write(self, recordings: Sequence[Recording]) -> None:
-        if recordings:
-            self._callback(recordings)
-
-
-class StoreSink(RecordingSink):
+class StoreSink:
     """Append recordings to one stream of a segment store (plain or sharded).
 
     Args:
-        store: The backing store, or a directory path to open one at.  A
-            path is opened with deferred catalog persistence (the catalog is
-            written once on :meth:`close` instead of per append); pass a
-            store instance to control persistence yourself.
+        store: The open backing store; the caller persists its catalog
+            (:meth:`flush` does, :meth:`flush_records` leaves it).
         name: Stream name to append to.
         epsilon: Optional precision width recorded in the stream's catalog
             entry.
-        shards: When ``store`` is a path of a new store, create it sharded
-            with this many shards (must match for an existing sharded store).
         archive_batch: Buffer this many recordings before appending to the
-            store (the default ``1`` appends on every :meth:`write`, the
-            historical behaviour).  Buffered recordings are visible through
-            :attr:`pending` and persisted by :meth:`flush`/:meth:`close`.
+            store (the default ``1`` appends on every :meth:`write`).
+            Buffered recordings are visible through :attr:`pending` and
+            persisted by :meth:`flush`.
 
     Raises:
-        ValueError: If ``shards`` is combined with a store instance, or
-            ``archive_batch`` is not positive.
+        ValueError: If ``archive_batch`` is not positive.
     """
 
     def __init__(
         self,
-        store,
+        store: StoreLike,
         name: str,
         epsilon: Optional[Sequence[float]] = None,
-        shards: Optional[int] = None,
         archive_batch: int = 1,
     ) -> None:
-        if not isinstance(store, (SegmentStore, ShardedStore)):
-            store = open_store(store, shards=shards, autoflush=False)
-        elif shards is not None:
-            raise ValueError("shards applies only when the store is given as a path")
         if archive_batch < 1:
             raise ValueError(f"archive_batch must be positive, got {archive_batch}")
         self.store = store
@@ -142,9 +79,6 @@ class StoreSink(RecordingSink):
         """Append any buffered recordings and persist the store catalog."""
         self.flush_records()
         self.store.flush()
-
-    def close(self) -> None:
-        self.flush()
 
 
 #: ``errno`` values a store append may fail with transiently — the condition

@@ -29,13 +29,6 @@ from repro.queries.planner import (
     plan_window_aggregates,
 )
 from repro.queries.pyramid import ZoomCell, plan_zoom, zoom_cells
-from repro.queries.stored import (
-    stored_range_aggregate,
-    stored_resample,
-    stored_threshold_crossings,
-    stored_window_aggregates,
-    stored_zoom,
-)
 
 __all__ = [
     "range_aggregate",
@@ -52,9 +45,4 @@ __all__ = [
     "ZoomCell",
     "plan_zoom",
     "zoom_cells",
-    "stored_range_aggregate",
-    "stored_window_aggregates",
-    "stored_threshold_crossings",
-    "stored_resample",
-    "stored_zoom",
 ]

@@ -2,30 +2,29 @@
 
 Built on the filter core's explicit state
 (:class:`~repro.core.state.FilterState` + ``snapshot()``/``restore()``),
-this subpackage turns single-process stream compression into an elastic,
-fault-tolerant runtime:
+this subpackage holds what :meth:`repro.api.session.StreamDB.ingest` uses
+beyond its one chunk loop:
 
 * :class:`~repro.runtime.parallel.ParallelIngestor` — shard-aligned worker
-  processes, each exclusively owning its shards' segment stores; recordings
-  are bit-identical to a single-process run.
-* :mod:`~repro.runtime.async_source` — async source adapters feeding
-  coroutine producers into ``BatchIngestor.aingest_stream``.
-* :mod:`~repro.runtime.checkpoint` + :func:`~repro.runtime.ingest.
-  ingest_stream_checkpointed` — periodic atomic checkpoints of filter state
-  and store offsets, so a killed ingest resumes from the last checkpoint
-  without reprocessing or duplicating recordings.
+  processes, each exclusively owning its shards' segment stores and
+  ingesting them through a session of its own; recordings are
+  bit-identical to a single-process run.
+* :mod:`~repro.runtime.async_source` — async chunk sources for
+  :meth:`~repro.api.session.StreamDB.aingest` and
+  :meth:`~repro.api.session.StreamDB.aappend_stream`.
+* :mod:`~repro.runtime.checkpoint` — atomic per-stream checkpoints of filter
+  state and store offsets, which the session writes while it ingests and
+  on :meth:`~repro.api.session.StreamDB.snapshot`, so a killed ingest
+  resumes from the last checkpoint without reprocessing or duplicating
+  recordings.
 """
 
 from repro.runtime.async_source import ArrayAsyncSource, AsyncSource, QueueAsyncSource
 from repro.runtime.checkpoint import (
     CHECKPOINT_VERSION,
+    DEFAULT_CHECKPOINT_EVERY,
     CheckpointManager,
     IngestCheckpoint,
-)
-from repro.runtime.ingest import (
-    DEFAULT_CHECKPOINT_EVERY,
-    ingest_stream_checkpointed,
-    run_ingest,
 )
 from repro.runtime.parallel import (
     ParallelIngestReport,
@@ -42,8 +41,6 @@ __all__ = [
     "IngestCheckpoint",
     "CHECKPOINT_VERSION",
     "DEFAULT_CHECKPOINT_EVERY",
-    "ingest_stream_checkpointed",
-    "run_ingest",
     "ParallelIngestor",
     "ParallelIngestReport",
     "StreamReport",

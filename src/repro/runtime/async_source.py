@@ -1,10 +1,11 @@
-"""Async source adapters bridging coroutine producers into the batch path.
+"""Async source adapters bridging coroutine producers into the session.
 
 Live deployments rarely hand the ingestor a finished array: samples arrive
 from sockets, message queues or sensor callbacks inside an event loop.  An
 :class:`AsyncSource` is an async iterable of ``(times, values)`` chunk pairs
-— exactly what :meth:`BatchIngestor.aingest_stream
-<repro.pipeline.ingest.BatchIngestor.aingest_stream>` consumes — so a
+— exactly what :meth:`StreamDB.aingest
+<repro.api.session.StreamDB.aingest>` and :meth:`StreamDB.aappend_stream
+<repro.api.session.StreamDB.aappend_stream>` consume — so a
 coroutine-producing source feeds the existing chunked, vectorized filter
 path without any thread hand-off.
 
@@ -81,7 +82,7 @@ class QueueAsyncSource(AsyncSource):
     """Queue-backed push source for coroutine producers.
 
     Producers ``await put(times, values)``; the consumer (typically
-    ``BatchIngestor.aingest_stream``) iterates the source and blocks on the
+    ``StreamDB.aappend_stream``) iterates the source and blocks on the
     queue.  ``await close()`` ends the stream — iteration finishes once the
     queue drains past the close marker.
 

@@ -27,10 +27,18 @@ from repro.core.state import FilterState
 from repro.storage.segment_store import collision_safe_filename
 from repro.testing import faults
 
-__all__ = ["CHECKPOINT_VERSION", "IngestCheckpoint", "CheckpointManager"]
+__all__ = [
+    "CHECKPOINT_VERSION",
+    "DEFAULT_CHECKPOINT_EVERY",
+    "IngestCheckpoint",
+    "CheckpointManager",
+]
 
 #: Version of the on-disk checkpoint payload; bumped on incompatible change.
 CHECKPOINT_VERSION = 1
+
+#: Default checkpoint cadence, in ingested chunks.
+DEFAULT_CHECKPOINT_EVERY = 16
 
 
 @dataclass

@@ -15,10 +15,10 @@ Per-stream filters are independent, so the recordings each worker produces
 are bit-identical to a single-process run; parallelism changes wall-clock
 time, never bytes.
 
-Workers run through
-:func:`~repro.runtime.ingest.ingest_stream_checkpointed`, so checkpointing
-and resume compose with parallelism: pass ``checkpoint`` and each worker
-checkpoints its streams into the shared directory.
+Each worker opens a :class:`~repro.api.session.StreamDB` on its shard and
+runs :meth:`~repro.api.session.StreamDB.ingest` per stream, so
+checkpointing and resume compose with parallelism: pass ``checkpoint`` and
+each worker checkpoints its streams into the shared directory.
 """
 
 from __future__ import annotations
@@ -32,10 +32,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.pipeline.chunking import DEFAULT_CHUNK_SIZE
-from repro.runtime.checkpoint import CheckpointManager
-from repro.runtime.ingest import DEFAULT_CHECKPOINT_EVERY, ingest_stream_checkpointed
+from repro.runtime.checkpoint import DEFAULT_CHECKPOINT_EVERY
 from repro.storage import open_store
-from repro.storage.segment_store import SegmentStore
 from repro.storage.sharded_store import shard_index
 
 __all__ = ["StreamTask", "StreamReport", "ParallelIngestReport", "ParallelIngestor"]
@@ -123,36 +121,35 @@ def ingest_shard_job(
 ) -> List[StreamReport]:
     """Ingest every task of one shard (module-level: the pickled unit of work).
 
-    The worker process opens the shard's :class:`SegmentStore` directly — it
-    is the shard's exclusive owner for the duration of the job — ingests its
-    streams through the checkpointed path, and flushes the shard catalog
-    once on close.
+    The worker process opens a session on the shard's store directly — it is
+    the shard's exclusive owner for the duration of the job — ingests its
+    streams one by one, and flushes the shard catalog once on close.
     """
-    manager = (
-        CheckpointManager(config["checkpoint"]) if config["checkpoint"] is not None else None
+    # Imported here: the session module imports this one.
+    from repro.api.session import StreamDB
+    from repro.api.specs import FilterSpec, IngestSpec, StorageSpec
+
+    storage = StorageSpec(backend=config["backend"], block_records=config["block_records"])
+    ingest = IngestSpec(
+        chunk_size=int(config["chunk_size"]),
+        checkpoint=config["checkpoint"],
+        checkpoint_every=int(config["checkpoint_every"]),
+        resume=bool(config["resume"]),
     )
     reports: List[StreamReport] = []
-    with SegmentStore(
-        shard_directory,
-        autoflush=False,
-        backend=config.get("backend"),
-        block_records=config.get("block_records"),
-    ) as store:
+    with StreamDB(shard_directory, storage=storage, ingest=ingest) as db:
         for task in tasks:
             times, values = task.materialize()
             epsilon = task.epsilon if task.epsilon is not None else config["epsilon"]
-            report = ingest_stream_checkpointed(
-                store,
+            report = db.ingest(
                 task.name,
-                str(config["filter_name"]),
-                epsilon,
                 times,
                 values,
-                chunk_size=int(config["chunk_size"]),
-                checkpoint=manager,
-                checkpoint_every=int(config["checkpoint_every"]),
-                resume=bool(config["resume"]),
-                **config["filter_kwargs"],
+                filter=FilterSpec(
+                    str(config["filter_name"]),
+                    epsilon=epsilon,
+                    options=config["filter_kwargs"],
+                ),
             )
             reports.append(
                 StreamReport(

@@ -6,11 +6,13 @@ per named stream, routes observations to the right transmitter, and offers
 fleet-wide statistics plus optional archiving of every stream into a segment
 store (plain or sharded).
 
-Archiving is batched: transmitted recordings are buffered per stream and
-appended to the store in ``archive_batch``-sized batches (plus one final
-flush on :meth:`close`), so archiving a fleet does not rewrite the store
-catalog once per observation.  :meth:`observe_batch` additionally routes
-chunked arrays through the filters' vectorized ``process_batch`` fast path.
+Archiving is batched: each stream archives through its own
+:class:`~repro.pipeline.sinks.StoreSink`, which buffers transmitted
+recordings and appends them to the store in ``archive_batch``-sized batches
+(plus one final flush on :meth:`close`), so archiving a fleet does not
+rewrite the store catalog once per observation.  :meth:`observe_batch`
+additionally routes chunked arrays through the filters' vectorized
+``process_batch`` fast path.
 """
 
 from __future__ import annotations
@@ -18,12 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-import numpy as np
-
 from repro.approximation.piecewise import Approximation
 from repro.core.base import StreamFilter
 from repro.core.registry import create_filter
-from repro.pipeline.sinks import flush_buffered
+from repro.pipeline.sinks import StoreSink
 from repro.storage import StoreLike
 from repro.streams.transport import Transmitter
 
@@ -90,7 +90,7 @@ class StreamSet:
         self._store = store
         self._archive_batch = archive_batch
         self._transmitters: Dict[str, Transmitter] = {}
-        self._pending: Dict[str, List] = {}
+        self._sinks: Dict[str, StoreSink] = {}
         self._closed = False
 
     # ------------------------------------------------------------------ #
@@ -123,8 +123,8 @@ class StreamSet:
         """Append all buffered recordings to the store and flush its catalog."""
         if self._store is None:
             return
-        for stream in list(self._pending):
-            self._flush_stream(stream)
+        for sink in self._sinks.values():
+            sink.flush_records()
         self._store.flush()
 
     def close(self) -> StreamSetReport:
@@ -191,17 +191,10 @@ class StreamSet:
     def _archive(self, stream: str, recordings) -> None:
         if self._store is None or not recordings:
             return
-        buffer = self._pending.setdefault(stream, [])
-        buffer.extend(recordings)
-        if len(buffer) >= self._archive_batch:
-            self._flush_stream(stream)
-
-    def _flush_stream(self, stream: str) -> None:
-        buffer = self._pending.get(stream)
-        if buffer:
-            flush_buffered(self._store, stream, buffer, self._epsilon_list())
-
-    def _epsilon_list(self) -> Optional[List[float]]:
-        if self._epsilon is None:
-            return None
-        return [float(v) for v in np.atleast_1d(self._epsilon)]
+        sink = self._sinks.get(stream)
+        if sink is None:
+            sink = StoreSink(
+                self._store, stream, epsilon=self._epsilon, archive_batch=self._archive_batch
+            )
+            self._sinks[stream] = sink
+        sink.write(recordings)

@@ -1,6 +1,8 @@
 """Tests for the :mod:`repro.api` session façade (StreamDB + specs)."""
 
 import asyncio
+import importlib
+import pkgutil
 import warnings
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 
 import repro
 from repro.api import FilterSpec, IngestSpec, StorageSpec, StreamDB
-from repro.queries.stored import stored_range_aggregate, stored_threshold_crossings
+from repro.queries import plan_range_aggregate, threshold_crossings
 from repro.runtime import CheckpointManager, StreamTask
 from repro.storage import SegmentStore, ShardedStore, open_store
 
@@ -36,6 +38,12 @@ class TestPublicExports:
     def test_every_exported_name_imports(self):
         for name in repro.__all__:
             assert hasattr(repro, name), f"repro.__all__ lists {name!r} but it is missing"
+        for info in pkgutil.walk_packages(repro.__path__, "repro."):
+            module = importlib.import_module(info.name)
+            for name in getattr(module, "__all__", ()):
+                assert hasattr(module, name), (
+                    f"{info.name}.__all__ lists {name!r} but it is missing"
+                )
 
     def test_surface_includes_api_runtime_and_storage(self):
         for name in (
@@ -173,12 +181,12 @@ class TestBulkIngest:
         times, values = make_signal()
         with repro.open(tmp_path / "db", **SLIDE) as db:
             db.ingest("s", times, values)
-            expected = stored_range_aggregate(db.store, "s", 100.0, 1000.0)
+            expected = plan_range_aggregate(db.store, "s", 100.0, 1000.0)
             actual = db.aggregate("s", 100.0, 1000.0)
             assert actual == expected
             threshold = float(np.median(values))
-            assert db.crossings("s", threshold) == stored_threshold_crossings(
-                db.store, "s", threshold
+            assert db.crossings("s", threshold) == threshold_crossings(
+                db.store.reconstruct("s"), threshold
             )
 
     def test_ingest_chunk_source(self, tmp_path):
@@ -293,7 +301,7 @@ class TestLiveStreams:
             db.seal("s")
             flushed_all = db.store.read("s")
             flushed_range = db.store.read("s", 100.0, 500.0)
-            flushed_agg = stored_range_aggregate(db.store, "s", 100.0, 500.0)
+            flushed_agg = plan_range_aggregate(db.store, "s", 100.0, 500.0)
         assert recordings_equal(merged_all, flushed_all)
         assert recordings_equal(merged_range, flushed_range)
         assert live_agg == flushed_agg
@@ -562,7 +570,6 @@ class TestMigrationEquivalents:
                 assert recordings_equal(db.store.read(name), store.read(name)), name
 
     def test_old_entry_points_do_not_warn(self, tmp_path):
-        from repro.pipeline import BatchIngestor, StoreSink
         from repro.streams.multiplex import StreamSet
         from repro.streams.pipeline import MonitoringPipeline
 
@@ -570,12 +577,10 @@ class TestMigrationEquivalents:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             report = MonitoringPipeline("swing", epsilon=0.5).run(zip(times, values))
-            streams = StreamSet("swing", epsilon=0.5)
+            streams = StreamSet("swing", epsilon=0.5, store=open_store(tmp_path / "set"))
             streams.observe_batch("a", times, values)
             fleet = streams.close()
-            sink = StoreSink(tmp_path / "archive", "s", epsilon=[0.5])
-            ingested = BatchIngestor("swing", 0.5, sink=sink).run(times, values)
-        assert report.points == fleet.points == ingested.points == len(times)
+        assert report.points == fleet.points == len(times)
 
 
 class TestReviewRegressions:

@@ -1,32 +1,44 @@
-"""Tests for the batch ingestion pipeline (repro.pipeline).
+"""Tests for bulk ingestion through the session (StreamDB.ingest / aingest).
 
-Covers the chunking helpers, the sink implementations, the
-:class:`BatchIngestor` driver, the ε-guarantee invariant of ingested output
-(property-style, on random-walk and SST-like data, explicitly including
-chunk-boundary points), and the wiring into the streams and queries layers.
+Covers the chunking helpers, the :class:`StoreSink`, the one ingest loop
+(a live writer fed chunk by chunk through ``append`` and sealed at the
+end), the ε-guarantee invariant of ingested output (property-style, on
+random-walk and SST-like data, explicitly including chunk-boundary points),
+and the wiring into the streams and queries layers.
 """
+
+import asyncio
 
 import numpy as np
 import pytest
+from crash_harness import store_log_digest
 
+import repro
+from repro.api import FilterSpec
 from repro.approximation.reconstruct import reconstruct
-from repro.core.errors import FilterStateError, StreamOrderError
+from repro.core.errors import StreamOrderError
+from repro.core.registry import available_filters
 from repro.core.types import Recording, RecordingKind
-from repro.data.random_walk import RandomWalkConfig, random_walk
-from repro.pipeline import (
-    BatchIngestor,
-    CallbackSink,
-    ListSink,
-    NullSink,
-    StoreSink,
-    iter_chunks,
-    normalize_chunk,
-)
-from repro.queries import stored_range_aggregate
+from repro.pipeline import StoreSink, iter_chunks, normalize_chunk
+from repro.queries import plan_range_aggregate
+from repro.runtime import ArrayAsyncSource, CheckpointManager
+from repro.storage import open_store
 from repro.storage.segment_store import SegmentStore
 from repro.streams.pipeline import MonitoringPipeline
 
 from conftest import assert_within_bound
+
+
+def ingested(tmp_path, name, epsilon, times, values, **options):
+    """Bulk-ingest one workload into a fresh store; return its recordings."""
+    with repro.open(tmp_path / "db", filter=FilterSpec(name, epsilon=epsilon)) as db:
+        db.ingest("s", times, values, **options)
+        return db.store.read("s")
+
+
+def stored_state(directory, name="s"):
+    """What a stream left on disk: its log bytes and its block index."""
+    return store_log_digest(directory), open_store(directory, mode="r").describe(name).blocks
 
 
 # --------------------------------------------------------------------------- #
@@ -78,28 +90,11 @@ def _recordings(count):
 
 
 class TestSinks:
-    def test_list_sink_collects(self):
-        sink = ListSink()
-        sink.write(_recordings(3))
-        sink.write(_recordings(2))
-        assert len(sink.recordings) == 5
-
-    def test_null_sink_counts(self):
-        sink = NullSink()
-        sink.write(_recordings(4))
-        sink.write([])
-        assert sink.count == 4
-
-    def test_callback_sink_skips_empty_batches(self):
-        calls = []
-        sink = CallbackSink(calls.append)
-        sink.write([])
-        sink.write(_recordings(2))
-        assert len(calls) == 1 and len(calls[0]) == 2
-
     def test_store_sink_appends_to_store(self, tmp_path):
-        sink = StoreSink(tmp_path / "archive", "demo", epsilon=[0.5])
+        store = open_store(tmp_path / "archive")
+        sink = StoreSink(store, "demo", epsilon=[0.5])
         sink.write(_recordings(3))
+        sink.flush()
         store = SegmentStore(tmp_path / "archive")
         entry = store.describe("demo")
         assert entry.recordings == 3
@@ -107,79 +102,199 @@ class TestSinks:
 
 
 # --------------------------------------------------------------------------- #
-# BatchIngestor
+# The one ingest loop
 # --------------------------------------------------------------------------- #
-class TestBatchIngestor:
-    def test_run_reports_points_and_chunks(self, noisy_walk):
+class TestBulkIngest:
+    def test_run_reports_points_and_chunks(self, tmp_path, noisy_walk):
         times, values = noisy_walk
-        ingestor = BatchIngestor("swing", 1.0, chunk_size=256)
-        report = ingestor.run(times, values)
-        assert report.points == len(times)
-        assert report.chunks == int(np.ceil(len(times) / 256))
-        assert report.recordings == len(ingestor.sink.recordings)
-        assert report.compression_ratio == report.points / report.recordings
-        assert report.filter_name == "swing"
+        with repro.open(tmp_path / "db", filter=FilterSpec("swing", epsilon=1.0)) as db:
+            report = db.ingest("s", times, values, chunk_size=256)
+            assert report.points == len(times)
+            assert report.chunks == int(np.ceil(len(times) / 256))
+            assert report.recordings == db.describe("s").recordings
+            assert report.compression_ratio == report.points / report.recordings
+            assert report.filter_name == "swing"
 
-    def test_requires_epsilon_for_named_filters(self):
-        with pytest.raises(ValueError):
-            BatchIngestor("swing")
+    def test_requires_epsilon_for_named_filters(self, tmp_path):
+        with repro.open(tmp_path / "db") as db:
+            with pytest.raises(ValueError):
+                db.ingest("s", np.arange(4.0), np.zeros(4), filter=FilterSpec("swing"))
 
-    def test_rejects_ingest_after_close(self):
-        ingestor = BatchIngestor("swing", 1.0)
-        ingestor.run(np.arange(4.0), np.zeros(4))
-        with pytest.raises(RuntimeError):
-            ingestor.ingest_chunk(np.array([10.0]), np.array([0.0]))
+    def test_rejects_ingest_after_close(self, tmp_path):
+        db = repro.open(tmp_path / "db", filter=FilterSpec("swing", epsilon=1.0))
+        db.ingest("s", np.arange(4.0), np.zeros(4))
+        db.close()
+        with pytest.raises(RuntimeError, match="closed"):
+            db.ingest("t", np.array([10.0]), np.array([0.0]))
 
-    def test_filter_order_violations_propagate(self):
-        ingestor = BatchIngestor("swing", 1.0)
-        with pytest.raises(StreamOrderError):
-            ingestor.ingest(np.array([0.0, 0.0]), np.zeros(2))
+    def test_filter_order_violations_propagate(self, tmp_path):
+        with repro.open(tmp_path / "db", filter=FilterSpec("swing", epsilon=1.0)) as db:
+            with pytest.raises(StreamOrderError):
+                db.ingest("s", np.array([0.0, 0.0]), np.zeros(2))
 
-    def test_finished_filter_rejects_batches(self):
-        ingestor = BatchIngestor("swing", 1.0)
-        ingestor.run(np.arange(4.0), np.zeros(4))
-        with pytest.raises(FilterStateError):
-            ingestor.filter.process_batch(np.array([9.0]), np.array([0.0]))
-
-    def test_ingest_stream_of_chunk_pairs(self, noisy_walk):
+    def test_ingest_stream_of_chunk_pairs(self, tmp_path, noisy_walk):
         times, values = noisy_walk
-        ingestor = BatchIngestor("slide", 1.0)
-        ingestor.ingest_stream(iter_chunks(times, values, 500))
-        report = ingestor.close()
+        with repro.open(tmp_path / "db", filter=FilterSpec("slide", epsilon=1.0)) as db:
+            report = db.ingest("s", source=iter_chunks(times, values, 500))
         assert report.points == len(times)
         assert report.chunks == 3
 
-    def test_empty_run(self):
-        report = BatchIngestor("swing", 1.0).run(np.array([]), np.array([]))
+    def test_empty_run(self, tmp_path):
+        with repro.open(tmp_path / "db", filter=FilterSpec("swing", epsilon=1.0)) as db:
+            report = db.ingest("s", np.array([]), np.array([]))
+            assert db.live_streams() == []
+            assert "s" not in db
         assert report.points == 0
         assert report.recordings == 0
         assert report.compression_ratio == 0.0
 
-    def test_recordings_do_not_alias_caller_buffers(self):
+    def test_recordings_do_not_alias_caller_buffers(self, tmp_path):
         """Reusing the input buffer between chunks must not corrupt output."""
-        buffer_times = np.array([0.0, 1.0, 2.0])
-        buffer_values = np.array([10.0, 10.0, 10.0])
-        ingestor = BatchIngestor("swing", 0.1)
-        ingestor.ingest_chunk(buffer_times, buffer_values)
-        buffer_times += 3.0
-        buffer_values[:] = 99.0
-        ingestor.ingest_chunk(buffer_times, buffer_values)
-        ingestor.close()
-        first = ingestor.sink.recordings[0]
+
+        def reused_buffers():
+            buffer_times = np.array([0.0, 1.0, 2.0])
+            buffer_values = np.array([10.0, 10.0, 10.0])
+            yield buffer_times, buffer_values
+            buffer_times += 3.0
+            buffer_values[:] = 99.0
+            yield buffer_times, buffer_values
+
+        with repro.open(tmp_path / "db", filter=FilterSpec("swing", epsilon=0.1)) as db:
+            db.ingest("s", source=reused_buffers())
+            first = db.store.read("s")[0]
         assert first.time == 0.0
         assert float(first.value[0]) == 10.0
 
-    def test_report_counts_only_points_seen_by_this_ingestor(self):
-        """A pre-used filter's earlier points are not attributed to the report."""
-        from repro.core.swing import SwingFilter
+    def test_stream_is_live_while_its_ingest_runs(self, tmp_path, noisy_walk):
+        times, values = noisy_walk
+        seen = []
+        with repro.open(tmp_path / "db", filter=FilterSpec("slide", epsilon=1.0)) as db:
 
-        stream_filter = SwingFilter(1.0)
-        for t in range(100):
-            stream_filter.feed(float(t), 0.0)
-        ingestor = BatchIngestor(stream_filter)
-        report = ingestor.run(np.arange(100.0, 150.0), np.zeros(50))
-        assert report.points == 50
-        assert stream_filter.points_processed == 150
+            def chunks():
+                for chunk in iter_chunks(times, values, 500):
+                    yield chunk
+                    seen.append((db.live_streams(), len(db.read("s"))))
+
+            db.ingest("s", source=chunks())
+            assert db.live_streams() == []
+        assert [live for live, _ in seen] == [["s"]] * 3
+        assert all(count > 0 for _, count in seen)
+
+    @pytest.mark.parametrize("use_async", [False, True])
+    def test_listeners_see_every_bulk_recording_once(self, tmp_path, noisy_walk, use_async):
+        """A bulk ingest reaches recording listeners like live writes do:
+        every recording exactly once, in order, the seal's call last."""
+        times, values = noisy_walk
+        calls = []
+        with repro.open(tmp_path / "db", filter=FilterSpec("slide", epsilon=0.5)) as db:
+            db.add_recording_listener(
+                lambda stream, recordings, sealed: calls.append((stream, list(recordings), sealed))
+            )
+            if use_async:
+                source = ArrayAsyncSource(times, values, chunk_size=200)
+                report = asyncio.run(db.aingest("s", source))
+            else:
+                report = db.ingest("s", times, values, chunk_size=200)
+            stored = db.store.read("s")
+        heard = [recording for _, recordings, _ in calls for recording in recordings]
+        assert {stream for stream, _, _ in calls} == {"s"}
+        assert [sealed for _, _, sealed in calls] == [False] * (len(calls) - 1) + [True]
+        assert len(heard) == len(stored) == report.recordings
+        for a, b in zip(heard, stored):
+            assert a.time == b.time and a.kind == b.kind
+            assert np.array_equal(a.value, b.value)
+
+    def test_aingest_lets_queries_in_between_chunks(self, tmp_path, noisy_walk):
+        """Another thread's query runs between an async ingest's chunks."""
+        times, values = noisy_walk
+        answers = []
+        with repro.open(tmp_path / "db", filter=FilterSpec("swing", epsilon=0.5)) as db:
+
+            async def source():
+                loop = asyncio.get_running_loop()
+                for chunk in iter_chunks(times, values, 500):
+                    yield chunk
+                    read = loop.run_in_executor(None, db.read, "s")
+                    answers.append(len(await asyncio.wait_for(read, timeout=30)))
+
+            asyncio.run(db.aingest("s", source()))
+        assert len(answers) == 3 and all(answers)
+
+    def test_every_way_in_writes_the_same_bytes(self, tmp_path, noisy_walk):
+        """Arrays, a sync source, an async source and a checkpointed run
+        write the store that ``append`` per chunk plus ``seal`` writes."""
+        times, values = noisy_walk
+        chunks = list(iter_chunks(times, values, 128))
+        spec = FilterSpec("slide", epsilon=0.5)
+        with repro.open(tmp_path / "append", filter=spec, archive_batch=1) as db:
+            for chunk_times, chunk_values in chunks:
+                db.append("s", chunk_times, chunk_values)
+            db.seal("s")
+        ways = {
+            "arrays": lambda db: db.ingest("s", times, values, chunk_size=128),
+            "sync": lambda db: db.ingest("s", source=iter(chunks)),
+            "async": lambda db: db.ingest("s", source=ArrayAsyncSource(times, values, 128)),
+            "checkpointed": lambda db: db.ingest(
+                "s", times, values, chunk_size=128,
+                checkpoint=tmp_path / "ck", checkpoint_every=3,
+            ),
+        }
+        reference = stored_state(tmp_path / "append")
+        for way, ingest in ways.items():
+            with repro.open(tmp_path / way, filter=spec) as db:
+                report = ingest(db)
+            assert report.points == len(times), way
+            assert report.chunks == len(chunks), way
+            assert stored_state(tmp_path / way) == reference, way
+
+
+class TestFailedBulkIngest:
+    """A bulk ingest that fails mid-stream leaves no live writer and exactly
+    the chunks archived before the failure."""
+
+    def prefix_state(self, directory, chunks):
+        """The store ``append`` leaves after ``chunks``, unsealed."""
+        with repro.open(directory, filter=FilterSpec("slide", epsilon=0.5), archive_batch=1) as db:
+            for chunk_times, chunk_values in chunks:
+                db.append("s", chunk_times, chunk_values)
+            db.detach("s")
+        return stored_state(directory)
+
+    def test_raising_checkpointed_source_resumes_bit_identically(self, tmp_path, noisy_walk):
+        times, values = noisy_walk
+        chunks = list(iter_chunks(times, values, 100))
+        spec = FilterSpec("slide", epsilon=0.5)
+
+        def failing():
+            for index, chunk in enumerate(chunks):
+                if index == 7:
+                    raise RuntimeError("source failed")
+                yield chunk
+
+        with repro.open(tmp_path / "db", filter=spec) as db:
+            with pytest.raises(RuntimeError, match="source failed"):
+                db.ingest("s", source=failing(), checkpoint=tmp_path / "ck", checkpoint_every=3)
+            assert db.live_streams() == []
+        assert stored_state(tmp_path / "db") == self.prefix_state(tmp_path / "prefix", chunks[:7])
+        checkpoint = CheckpointManager(tmp_path / "ck").load("s")
+        assert checkpoint.points_ingested == 600 and not checkpoint.complete
+
+        with repro.open(tmp_path / "db", filter=spec) as db:
+            report = db.ingest("s", source=iter(chunks), checkpoint=tmp_path / "ck", resume=True)
+        assert report.points == len(times) - 600
+        with repro.open(tmp_path / "reference", filter=spec) as db:
+            db.ingest("s", source=iter(chunks))
+        assert stored_state(tmp_path / "db") == stored_state(tmp_path / "reference")
+
+    def test_backwards_chunk_keeps_the_chunks_before_it(self, tmp_path, noisy_walk):
+        times, values = noisy_walk
+        chunks = list(iter_chunks(times, values, 100))
+        backwards = chunks[:5] + [chunks[2]] + chunks[5:]
+        with repro.open(tmp_path / "db", filter=FilterSpec("slide", epsilon=0.5)) as db:
+            with pytest.raises(StreamOrderError):
+                db.ingest("s", source=iter(backwards))
+            assert db.live_streams() == []
+        assert stored_state(tmp_path / "db") == self.prefix_state(tmp_path / "prefix", chunks[:5])
 
 
 # --------------------------------------------------------------------------- #
@@ -191,31 +306,28 @@ class TestEpsilonGuarantee:
 
     @pytest.mark.parametrize("name", ["swing", "slide"])
     @pytest.mark.parametrize("epsilon", [0.1, 0.5, 2.0])
-    def test_random_walk_bound(self, name, epsilon, noisy_walk):
+    def test_random_walk_bound(self, tmp_path, name, epsilon, noisy_walk):
         times, values = noisy_walk
-        ingestor = BatchIngestor(name, epsilon, chunk_size=128)
-        ingestor.run(times, values)
-        assert_within_bound(ingestor.sink.recordings, times, values, epsilon)
+        recordings = ingested(tmp_path, name, epsilon, times, values, chunk_size=128)
+        assert_within_bound(recordings, times, values, epsilon)
 
     @pytest.mark.parametrize("name", ["swing", "slide"])
-    def test_sst_bound(self, name, sst_signal):
+    def test_sst_bound(self, tmp_path, name, sst_signal):
         times, values = sst_signal
         epsilon = 0.05
-        ingestor = BatchIngestor(name, epsilon, chunk_size=200)
-        ingestor.run(times, values)
-        assert_within_bound(ingestor.sink.recordings, times, values, epsilon)
+        recordings = ingested(tmp_path, name, epsilon, times, values, chunk_size=200)
+        assert_within_bound(recordings, times, values, epsilon)
 
-    @pytest.mark.parametrize("name", ["swing", "slide"])
+    @pytest.mark.parametrize("name", available_filters())
     @pytest.mark.parametrize("chunk_size", [1, 7, 64])
-    def test_chunk_boundary_points(self, name, chunk_size):
+    def test_chunk_boundary_points(self, tmp_path, name, chunk_size):
         """The bound holds exactly at the first/last point of every chunk."""
         rng = np.random.default_rng(31)
         times = np.arange(400.0)
         values = np.cumsum(rng.normal(0.0, 0.8, 400))
         epsilon = 0.6
-        ingestor = BatchIngestor(name, epsilon, chunk_size=chunk_size)
-        ingestor.run(times, values)
-        approximation = reconstruct(ingestor.sink.recordings)
+        recordings = ingested(tmp_path, name, epsilon, times, values, chunk_size=chunk_size)
+        approximation = reconstruct(recordings)
         boundaries = sorted(
             {0, len(times) - 1}
             | set(range(0, len(times), chunk_size))
@@ -226,14 +338,13 @@ class TestEpsilonGuarantee:
             assert deviation <= epsilon + 1e-8
 
     @pytest.mark.parametrize("name", ["swing", "slide"])
-    def test_multidimensional_vector_epsilon(self, name):
+    def test_multidimensional_vector_epsilon(self, tmp_path, name):
         rng = np.random.default_rng(37)
         times = np.arange(500.0)
-        values = np.cumsum(rng.normal(0.0, [0.2, 1.0], (500, 2)), axis=0)
-        epsilon = [0.3, 1.4]
-        ingestor = BatchIngestor(name, epsilon, chunk_size=64)
-        ingestor.run(times, values)
-        assert_within_bound(ingestor.sink.recordings, times, values, epsilon)
+        values = np.cumsum(rng.normal(0.0, [0.2, 1.0, 0.5], (500, 3)), axis=0)
+        epsilon = [0.3, 1.4, 0.7]
+        recordings = ingested(tmp_path, name, epsilon, times, values, chunk_size=64)
+        assert_within_bound(recordings, times, values, epsilon)
 
 
 # --------------------------------------------------------------------------- #
@@ -243,10 +354,9 @@ class TestEndToEnd:
     def test_ingest_into_store_and_query(self, tmp_path, smooth_walk):
         times, values = smooth_walk
         epsilon = 0.5
-        sink = StoreSink(tmp_path / "archive", "walk", epsilon=[epsilon])
-        BatchIngestor("slide", epsilon, chunk_size=300, sink=sink).run(times, values)
-        store = SegmentStore(tmp_path / "archive")
-        aggregate = stored_range_aggregate(store, "walk", float(times[0]), float(times[-1]))
+        ingested(tmp_path, "slide", epsilon, times, values, chunk_size=300)
+        store = SegmentStore(tmp_path / "db")
+        aggregate = plan_range_aggregate(store, "s", float(times[0]), float(times[-1]))
         # Every original point is within ε of the approximation, so the
         # aggregate extremes can deviate by at most ε (§ queries docstring).
         assert aggregate.minimum >= values.min() - epsilon - 1e-8
@@ -257,10 +367,9 @@ class TestEndToEnd:
         (the store keeps the covering recording before the range)."""
         times = np.arange(100.0)
         values = 0.5 * times
-        sink = StoreSink(tmp_path / "archive", "ramp", epsilon=[0.25])
-        BatchIngestor("swing", 0.25, sink=sink).run(times, values)
-        store = SegmentStore(tmp_path / "archive")
-        aggregate = stored_range_aggregate(store, "ramp", 40.0, 45.0)
+        ingested(tmp_path, "swing", 0.25, times, values)
+        store = SegmentStore(tmp_path / "db")
+        aggregate = plan_range_aggregate(store, "s", 40.0, 45.0)
         assert aggregate.mean == pytest.approx(0.5 * 42.5, abs=0.3)
 
     def test_cli_ingest_bad_chunk_size_leaves_no_store(self, tmp_path):
@@ -298,48 +407,30 @@ class TestEndToEnd:
             )
         assert not (tmp_path / "other").exists()
 
-    def test_monitoring_pipeline_run_matches_batch_ingestor(self, noisy_walk):
-        """The per-point pipeline and the chunked batch engine record alike."""
+    def test_monitoring_pipeline_run_matches_bulk_ingest(self, tmp_path, noisy_walk):
+        """The per-point pipeline and the chunked bulk ingest record alike."""
         times, values = noisy_walk
         pipeline = MonitoringPipeline("swing", epsilon=1.0)
         per_point = pipeline.run(zip(times, values))
-        ingestor = BatchIngestor("swing", 1.0, chunk_size=256)
-        batched = ingestor.run(times, values)
+        with repro.open(tmp_path / "db", filter=FilterSpec("swing", epsilon=1.0)) as db:
+            batched = db.ingest("s", times, values, chunk_size=256)
+            archived = db.store.read("s")
         assert batched.points == per_point.points
         assert batched.recordings == per_point.recordings
         received = pipeline.receiver.recordings
-        assert [(r.time, r.kind) for r in ingestor.sink.recordings] == [
-            (r.time, r.kind) for r in received
-        ]
-        for archived, sent in zip(ingestor.sink.recordings, received):
-            assert np.array_equal(archived.value, sent.value)
+        assert [(r.time, r.kind) for r in archived] == [(r.time, r.kind) for r in received]
+        for stored, sent in zip(archived, received):
+            assert np.array_equal(stored.value, sent.value)
+
 
 class TestStoreSinkSharded:
-    def test_store_sink_creates_sharded_store(self, tmp_path):
-        from repro.storage import ShardedStore, open_store
-
-        sink = StoreSink(tmp_path / "archive", "demo", epsilon=[0.5], shards=4)
-        assert isinstance(sink.store, ShardedStore)
-        sink.write(_recordings(3))
-        sink.close()
-        store = open_store(tmp_path / "archive")
-        assert store.shard_count == 4
-        assert store.describe("demo").recordings == 3
-
-    def test_store_sink_rejects_shards_with_store_instance(self, tmp_path):
-        import pytest as _pytest
-
-        store = SegmentStore(tmp_path / "archive")
-        with _pytest.raises(ValueError, match="path"):
-            StoreSink(store, "demo", shards=2)
-
     def test_store_sink_accepts_sharded_store_instance(self, tmp_path):
         from repro.storage import ShardedStore
 
         store = ShardedStore(tmp_path / "archive", 2, autoflush=False)
         sink = StoreSink(store, "demo", epsilon=[0.5])
         sink.write(_recordings(4))
-        sink.close()  # flushes the deferred catalogs
+        sink.flush()  # persists the deferred catalogs
         reopened = ShardedStore(tmp_path / "archive")
         assert reopened.describe("demo").recordings == 4
 
@@ -356,13 +447,13 @@ def _recordings_at(start, count):
 
 class TestStoreSinkBuffering:
     def test_write_through_by_default(self, tmp_path):
-        sink = StoreSink(tmp_path / "archive", "s")
+        sink = StoreSink(open_store(tmp_path / "archive"), "s")
         sink.write(_recordings_at(0, 2))
         assert sink.store.describe("s").recordings == 2
         assert sink.pending == ()
 
     def test_buffers_until_archive_batch(self, tmp_path):
-        sink = StoreSink(tmp_path / "archive", "s", archive_batch=5)
+        sink = StoreSink(open_store(tmp_path / "archive"), "s", archive_batch=5)
         sink.write(_recordings_at(0, 3))
         assert "s" not in sink.store
         assert len(sink.pending) == 3
@@ -370,32 +461,31 @@ class TestStoreSinkBuffering:
         assert sink.store.describe("s").recordings == 6
         assert sink.pending == ()
 
-    def test_flush_before_close_is_idempotent(self, tmp_path):
-        sink = StoreSink(tmp_path / "archive", "s", archive_batch=100)
+    def test_flush_is_idempotent(self, tmp_path):
+        sink = StoreSink(open_store(tmp_path / "archive"), "s", archive_batch=100)
         sink.write(_recordings_at(0, 4))
         sink.flush()
         assert sink.store.describe("s").recordings == 4
         sink.flush()
-        sink.close()
-        sink.close()
+        sink.flush()
         assert sink.store.describe("s").recordings == 4
 
     def test_buffered_equals_write_through(self, tmp_path):
-        buffered = StoreSink(tmp_path / "a", "s", archive_batch=7)
-        direct = StoreSink(tmp_path / "b", "s")
+        buffered = StoreSink(open_store(tmp_path / "a"), "s", archive_batch=7)
+        direct = StoreSink(open_store(tmp_path / "b"), "s")
         for start in range(0, 30, 3):
             chunk = _recordings_at(start, 3)
             buffered.write(chunk)
             direct.write(chunk)
-        buffered.close()
-        direct.close()
+        buffered.flush()
+        direct.flush()
         left = SegmentStore(tmp_path / "a").read("s")
         right = SegmentStore(tmp_path / "b").read("s")
         assert [(r.time, r.kind) for r in left] == [(r.time, r.kind) for r in right]
 
     def test_invalid_archive_batch(self, tmp_path):
         with pytest.raises(ValueError, match="archive_batch"):
-            StoreSink(tmp_path / "archive", "s", archive_batch=0)
+            StoreSink(open_store(tmp_path / "archive"), "s", archive_batch=0)
 
     def test_failed_append_after_persist_does_not_double_archive(self, tmp_path):
         store = SegmentStore(tmp_path / "archive", autoflush=False)
@@ -416,6 +506,6 @@ class TestStoreSinkBuffering:
         with pytest.raises(OSError, match="disk full"):
             sink.flush()  # append landed; catalog flush failed
         store.flush = original_flush
-        sink.close()  # must not re-append the already-persisted batch
+        sink.flush()  # must not re-append the already-persisted batch
         assert store.describe("s").recordings == 6
         assert [r.time for r in store.read("s")] == [float(i) for i in range(6)]

@@ -1,4 +1,5 @@
-"""Tests for the multi-process, async, checkpointable ingestion runtime."""
+"""Tests for the ingestion runtime: async sources, checkpoints and kill/resume
+through ``StreamDB.ingest``, and shard-aligned parallel workers."""
 
 from __future__ import annotations
 
@@ -16,7 +17,8 @@ from crash_harness import (
     store_log_digest,
 )
 
-from repro.pipeline import BatchIngestor
+import repro
+from repro.api import FilterSpec
 from repro.pipeline.chunking import iter_chunks
 from repro.runtime import (
     ArrayAsyncSource,
@@ -25,34 +27,38 @@ from repro.runtime import (
     ParallelIngestor,
     QueueAsyncSource,
     StreamTask,
-    ingest_stream_checkpointed,
-    run_ingest,
 )
 from repro.storage import open_store
+
+
+def ingest(store, times=None, values=None, *, name="s", filter="swing", epsilon=0.5, **options):
+    """Bulk-ingest one stream into the store at ``store`` through a session."""
+    with repro.open(store, filter=FilterSpec(filter, epsilon=epsilon)) as db:
+        return db.ingest(name, times, values, **options)
+
+
+def aingest(store, source, *, filter="swing", epsilon=0.5):
+    """Drain an async source into the store at ``store`` through a session."""
+    with repro.open(store, filter=FilterSpec(filter, epsilon=epsilon)) as db:
+        return asyncio.run(db.aingest("s", source))
 
 
 # --------------------------------------------------------------------------- #
 # Async sources
 # --------------------------------------------------------------------------- #
 class TestAsyncIngestion:
-    def test_array_async_source_matches_sync_ingest(self):
+    def test_array_async_source_matches_sync_ingest(self, tmp_path):
         times, values = make_workload(seed=1)
-        reference = BatchIngestor("swing", epsilon=0.5, chunk_size=512).run(times, values)
-
-        async def run():
-            ingestor = BatchIngestor("swing", epsilon=0.5, chunk_size=512)
-            await ingestor.aingest_stream(ArrayAsyncSource(times, values, chunk_size=512))
-            return ingestor.close()
-
-        report = asyncio.run(run())
+        reference = ingest(tmp_path / "sync", times, values, chunk_size=512)
+        report = aingest(tmp_path / "async", ArrayAsyncSource(times, values, chunk_size=512))
         assert report.points == reference.points
         assert report.recordings == reference.recordings
 
-    def test_queue_async_source_with_producer_task(self):
+    def test_queue_async_source_with_producer_task(self, tmp_path):
         times, values = make_workload(seed=2)
-        reference = BatchIngestor("slide", epsilon=0.5).run(times, values)
+        reference = ingest(tmp_path / "sync", times, values, filter="slide")
 
-        async def run():
+        async def run(db):
             source = QueueAsyncSource(maxsize=2)
 
             async def produce():
@@ -61,12 +67,12 @@ class TestAsyncIngestion:
                 await source.close()
 
             producer = asyncio.create_task(produce())
-            ingestor = BatchIngestor("slide", epsilon=0.5)
-            await ingestor.aingest_stream(source)
+            report = await db.aingest("s", source)
             await producer
-            return ingestor.close()
+            return report
 
-        report = asyncio.run(run())
+        with repro.open(tmp_path / "async", filter=FilterSpec("slide", epsilon=0.5)) as db:
+            report = asyncio.run(run(db))
         assert report.points == reference.points
         assert report.recordings == reference.recordings
 
@@ -151,7 +157,6 @@ class TestCheckpointManager:
 def _crashing_ingest(store_dir, checkpoint_dir, seed, chunk_size, every, crash_after):
     """Child-process target: ingest, then die hard mid-stream (no cleanup)."""
     times, values = make_workload(seed)
-    store = open_store(store_dir, autoflush=False)
 
     def doomed_chunks():
         for index, chunk in enumerate(iter_chunks(times, values, chunk_size)):
@@ -159,12 +164,10 @@ def _crashing_ingest(store_dir, checkpoint_dir, seed, chunk_size, every, crash_a
                 os._exit(17)  # simulate SIGKILL: no flush, no finally blocks
             yield chunk
 
-    ingest_stream_checkpointed(
-        store,
-        "victim",
-        "swing",
-        0.5,
-        chunks=doomed_chunks(),
+    ingest(
+        store_dir,
+        name="victim",
+        source=doomed_chunks(),
         chunk_size=chunk_size,
         checkpoint=checkpoint_dir,
         checkpoint_every=every,
@@ -173,27 +176,20 @@ def _crashing_ingest(store_dir, checkpoint_dir, seed, chunk_size, every, crash_a
 
 
 class TestCheckpointedIngest:
-    def test_plain_run_matches_batch_ingestor(self, tmp_path):
+    def test_plain_run_reports_what_it_stored(self, tmp_path):
         times, values = make_workload(seed=3)
-        reference = BatchIngestor("swing", epsilon=0.5, chunk_size=512).run(times, values)
-        report = run_ingest(
-            tmp_path / "store", "s", "swing", 0.5, times, values, chunk_size=512
-        )
-        assert report.points == reference.points
-        assert report.recordings == reference.recordings
+        report = ingest(tmp_path / "store", times, values, chunk_size=512)
+        assert report.points == len(times)
+        assert report.chunks == -(-len(times) // 512)
         store = open_store(tmp_path / "store")
-        assert store.describe("s").recordings == reference.recordings
+        assert store.describe("s").recordings == report.recordings
 
     def test_resume_of_complete_run_is_noop(self, tmp_path):
         times, values = make_workload(seed=4)
-        run_ingest(
-            tmp_path / "store", "s", "swing", 0.5, times, values,
-            checkpoint=tmp_path / "ck",
-        )
+        ingest(tmp_path / "store", times, values, checkpoint=tmp_path / "ck")
         before = open_store(tmp_path / "store").describe("s").recordings
-        report = run_ingest(
-            tmp_path / "store", "s", "swing", 0.5, times, values,
-            checkpoint=tmp_path / "ck", resume=True,
+        report = ingest(
+            tmp_path / "store", times, values, checkpoint=tmp_path / "ck", resume=True
         )
         assert report.points == 0
         assert open_store(tmp_path / "store").describe("s").recordings == before
@@ -202,26 +198,22 @@ class TestCheckpointedIngest:
         """A complete checkpoint pointed at the wrong (or deleted) store must
         fail loudly, not report success over missing data."""
         times, values = make_workload(seed=4, length=500)
-        run_ingest(
-            tmp_path / "store", "s", "swing", 0.5, times, values,
-            checkpoint=tmp_path / "ck",
-        )
+        ingest(tmp_path / "store", times, values, checkpoint=tmp_path / "ck")
         with pytest.raises(ValueError, match="complete"):
-            run_ingest(
-                tmp_path / "other-store", "s", "swing", 0.5, times, values,
+            ingest(
+                tmp_path / "other-store", times, values,
                 checkpoint=tmp_path / "ck", resume=True,
             )
 
     def test_resume_requires_checkpoint_location(self, tmp_path):
         times, values = make_workload(seed=5, length=10)
         with pytest.raises(ValueError, match="resume"):
-            run_ingest(tmp_path / "store", "s", "swing", 0.5, times, values, resume=True)
+            ingest(tmp_path / "store", times, values, resume=True)
 
     def test_resume_rejects_conflicting_filter_or_epsilon(self, tmp_path):
         """The checkpointed config governs the resumed run, so conflicting
         request arguments must fail loudly instead of being silently ignored."""
         times, values = make_workload(seed=12, length=2000)
-        store = open_store(tmp_path / "store", autoflush=False)
 
         def interrupted():
             for index, chunk in enumerate(iter_chunks(times, values, 256)):
@@ -230,34 +222,29 @@ class TestCheckpointedIngest:
                 yield chunk
 
         with pytest.raises(RuntimeError, match="interrupted"):
-            ingest_stream_checkpointed(
-                store, "s", "swing", 0.5,
-                chunks=interrupted(),
+            ingest(
+                tmp_path / "store", source=interrupted(),
                 chunk_size=256, checkpoint=tmp_path / "ck", checkpoint_every=2,
             )
-        store.close()
         with pytest.raises(ValueError, match="epsilon"):
-            run_ingest(
-                tmp_path / "store", "s", "swing", 1.0, times, values,
+            ingest(
+                tmp_path / "store", times, values, epsilon=1.0,
                 chunk_size=256, checkpoint=tmp_path / "ck", resume=True,
             )
         with pytest.raises(ValueError, match="filter"):
-            run_ingest(
-                tmp_path / "store", "s", "slide", 0.5, times, values,
+            ingest(
+                tmp_path / "store", times, values, filter="slide",
                 chunk_size=256, checkpoint=tmp_path / "ck", resume=True,
             )
 
     def test_chunk_size_mismatch_rejected_on_resume(self, tmp_path):
         times, values = make_workload(seed=6, length=3000)
-        store = open_store(tmp_path / "store", autoflush=False)
         manager = CheckpointManager(tmp_path / "ck")
         # Interrupt by ingesting only a prefix through the chunks form.
-        ingest_stream_checkpointed(
-            store, "s", "swing", 0.5,
-            chunks=iter_chunks(times[:1024], values[:1024], 256),
-            chunk_size=256, checkpoint=manager, checkpoint_every=2,
+        ingest(
+            tmp_path / "store", source=iter_chunks(times[:1024], values[:1024], 256),
+            chunk_size=256, checkpoint=tmp_path / "ck", checkpoint_every=2,
         )
-        store.close()
         manager.save(
             IngestCheckpoint(
                 stream="s",
@@ -268,22 +255,19 @@ class TestCheckpointedIngest:
             )
         )
         with pytest.raises(ValueError, match="chunk_size"):
-            run_ingest(
-                tmp_path / "store", "s", "swing", 0.5, times, values,
-                chunk_size=512, checkpoint=manager, resume=True,
+            ingest(
+                tmp_path / "store", times, values,
+                chunk_size=512, checkpoint=tmp_path / "ck", resume=True,
             )
 
     def test_resume_without_checkpoint_refuses_existing_data(self, tmp_path):
         """A stream with data but no checkpoint may be a legitimate earlier
         ingest — resume must refuse instead of truncating or appending."""
         times, values = make_workload(seed=7, length=3000)
-        run_ingest(tmp_path / "store", "s", "swing", 0.5, times, values)
+        ingest(tmp_path / "store", times, values)
         before = open_store(tmp_path / "store").describe("s").recordings
         with pytest.raises(ValueError, match="no checkpoint found"):
-            run_ingest(
-                tmp_path / "store", "s", "swing", 0.5, times, values,
-                checkpoint=tmp_path / "ck", resume=True,
-            )
+            ingest(tmp_path / "store", times, values, checkpoint=tmp_path / "ck", resume=True)
         assert open_store(tmp_path / "store").describe("s").recordings == before
 
     def test_initial_checkpoint_covers_kill_before_first_periodic_one(self, tmp_path):
@@ -304,14 +288,11 @@ class TestCheckpointedIngest:
         assert child.exitcode == 17
         checkpoint = CheckpointManager(tmp_path / "ck").load("victim")
         assert checkpoint is not None and checkpoint.points_ingested == 0
-        run_ingest(
-            tmp_path / "store", "victim", "swing", 0.5, times, values,
+        ingest(
+            tmp_path / "store", times, values, name="victim",
             chunk_size=chunk_size, checkpoint=tmp_path / "ck", resume=True,
         )
-        run_ingest(
-            tmp_path / "reference", "victim", "swing", 0.5, times, values,
-            chunk_size=chunk_size,
-        )
+        ingest(tmp_path / "reference", times, values, name="victim", chunk_size=chunk_size)
         assert_stores_identical(
             open_store(tmp_path / "reference"), open_store(tmp_path / "store")
         )
@@ -324,10 +305,7 @@ class TestCheckpointedIngest:
         times, values = make_workload(seed)
 
         # Reference: uninterrupted run into its own store.
-        run_ingest(
-            tmp_path / "reference", "victim", "swing", 0.5, times, values,
-            chunk_size=chunk_size,
-        )
+        ingest(tmp_path / "reference", times, values, name="victim", chunk_size=chunk_size)
 
         # Crash run: child process dies mid-stream with os._exit (nothing is
         # flushed or finalized — the store log may be ahead of the catalog
@@ -349,9 +327,9 @@ class TestCheckpointedIngest:
         # checkpoint does not know about, which resume must roll back.
         assert checkpoint.points_ingested < crash_after * chunk_size
 
-        report = run_ingest(
-            tmp_path / "store", "victim", "swing", 0.5, times, values,
-            chunk_size=chunk_size, checkpoint=manager, resume=True,
+        report = ingest(
+            tmp_path / "store", times, values, name="victim",
+            chunk_size=chunk_size, checkpoint=tmp_path / "ck", resume=True,
         )
         assert report.points == len(times) - checkpoint.points_ingested
         assert manager.load("victim").complete
