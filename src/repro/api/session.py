@@ -737,13 +737,16 @@ class StreamDB:
     ) -> Tuple[int, int]:
         """Drain an async chunk source through the *live* :meth:`append` path.
 
-        The live twin of :meth:`aingest`: each ``(times, values)`` chunk of
-        ``source`` (any :class:`~repro.runtime.async_source.AsyncSource`,
-        typically a :class:`~repro.runtime.async_source.QueueAsyncSource`
-        a server pushes into) feeds the stream's live filter, so queries see
-        the in-flight state between chunks and recording listeners fire per
-        chunk — unlike the bulk path, which only registers the stream once
-        it completes.  The stream is left live; :meth:`seal` ends it.
+        Each ``(times, values)`` chunk of ``source`` (any
+        :class:`~repro.runtime.async_source.AsyncSource`, typically a
+        :class:`~repro.runtime.async_source.QueueAsyncSource` a server pushes
+        into) feeds the stream's live filter, so queries see the in-flight
+        state between chunks and recording listeners fire per chunk, as
+        they do during :meth:`aingest`.  Unlike :meth:`aingest`, which
+        installs a fresh writer and seals the stream when its source ends,
+        this feeds whatever writer :meth:`append` finds or starts, can run
+        each chunk in an executor, and leaves the stream live; :meth:`seal`
+        ends it.
 
         Args:
             stream: Target stream name.

@@ -37,7 +37,7 @@ from repro.core import kernels
 from repro.core.base import StreamFilter
 from repro.core.types import DataPoint, RecordingKind
 from repro.geometry.hull import IncrementalConvexHull
-from repro.geometry.lines import Line, line_through
+from repro.geometry.lines import EPSILON_TIME, Line, line_through
 from repro.geometry.tangents import (
     max_slope_lower_line,
     max_slope_lower_support,
@@ -87,6 +87,28 @@ def _safe_line(t1: float, x1: float, t2: float, x2: float) -> Optional[Line]:
         return Line.from_points(t1, x1, t2, x2)
     except ValueError:
         return None
+
+
+def _nearest(target: float, lo: float, hi: float) -> Tuple[float, float]:
+    """``min(max(target, lo), hi)`` and its distance from ``target``.
+
+    Written as conditionals that keep the builtins' first operand on a tie.
+    """
+    candidate = lo if lo > target else target
+    candidate = hi if hi < candidate else candidate
+    return candidate, abs(candidate - target)
+
+
+def _within(times: Sequence[float], values: Sequence[float], slope, intercept, eps) -> bool:
+    """Whether every ``(t, x)`` lies within ε of ``slope · t + intercept`` (with slack).
+
+    Tests ``|line(t) - x| <= ε + slack · ((1 + |x|) + ε)`` in that operand
+    order.
+    """
+    for t, x in zip(times, values):
+        if not abs((t * slope + intercept) - x) <= eps + _VALIDATION_SLACK * ((1.0 + abs(x)) + eps):
+            return False
+    return True
 
 
 def _intersect_interval_sets(
@@ -736,24 +758,14 @@ class SlideFilter(StreamFilter):
         from the filter state.  Every path that closes an interval — the
         per-point reference, the batch probes, the 1-D scalar core, the end
         of the stream and the bounded-lag lock — comes through here, on
-        Python floats throughout.  Returns the per-dimension segment lines.
+        Python floats throughout: one-dimensional streams through
+        :meth:`_close_1d`, wider ones through :meth:`_close_lines`.  Returns
+        the per-dimension segment lines.
         """
-        apexes = self._apex_points(first_time)
-        lines: Optional[List[Line]] = None
-        if self.connect_segments and self._prev is not None:
-            lines = self._attempt_connection(apexes, first_time)
-        if lines is None:
-            lines = self._standalone_segment(apexes)
-            self._flush_previous_segment()
-            self._emit(
-                first_time,
-                [line.value_at(first_time) for line in lines],
-                RecordingKind.SEGMENT_START,
-            )
-            segment_start = first_time
+        if self._dimensions == 1:
+            lines, segment_start = self._close_1d(first_time)
         else:
-            # _attempt_connection already emitted the shared recording.
-            segment_start = self._connection_time
+            lines, segment_start = self._close_lines(first_time)
         self._prev = _PreviousSegment(
             lines=lines,
             upper=list(self._upper),
@@ -769,6 +781,313 @@ class SlideFilter(StreamFilter):
         )
         self._previous_interval_end = end_time
         return lines
+
+    def _close_lines(self, first_time: float) -> Tuple[List[Line], float]:
+        """The close on per-dimension ``Line``s; returns ``(lines, segment_start)``."""
+        apexes = self._apex_points(first_time)
+        if self.connect_segments and self._prev is not None:
+            lines = self._attempt_connection(apexes, first_time)
+            if lines is not None:
+                # _attempt_connection already emitted the shared recording.
+                return lines, self._connection_time
+        lines = self._standalone_segment(apexes)
+        self._flush_previous_segment()
+        self._emit(
+            first_time,
+            [line.value_at(first_time) for line in lines],
+            RecordingKind.SEGMENT_START,
+        )
+        return lines, first_time
+
+    def _close_1d(self, first_time: float) -> Tuple[List[Line], float]:
+        """:meth:`_close_lines` for one dimension, on slope/intercept floats.
+
+        It computes the apex, the gap connection, the tail connection and
+        the standalone segment expression for expression as
+        :meth:`_apex_points`, :meth:`_attempt_gap_connection`,
+        :meth:`_attempt_tail_connection` and :meth:`_standalone_segment` do,
+        with their tie rules: ``sorted`` pairs and builtin ``max``/``min``
+        keep their first operand on a tie, the mean of one preferred time is
+        ``0.0 + t``, clamps are :func:`~repro.core.kernels.clip_ties_to_value`
+        and a line through two points is degenerate where
+        :func:`line_through` refuses it.  The MSE slope through the apex is
+        computed once, since only its clamp differs between its three uses,
+        and only the segment's ``Line`` is built.
+        """
+        upper = self._upper[0]
+        lower = self._lower[0]
+        upper_slope = upper.slope
+        lower_slope = lower.slope
+        upper_intercept = upper.intercept
+        denominator = upper_slope - lower_slope
+        if denominator == 0.0:
+            # Parallel (ε = 0): the bounds coincide, so anchor at the
+            # interval's first point, which lies on both lines.
+            t_z = first_time
+        else:
+            t_z = (lower.intercept - upper_intercept) / denominator
+        x_z = upper_slope * t_z + upper_intercept
+        n = self._n
+        sum_t = self._sum_t
+        denominator = self._sum_tt - 2.0 * t_z * sum_t + n * t_z * t_z
+        if denominator <= 0.0:
+            mse_slope = None
+        else:
+            mse_slope = (
+                self._sum_xt[0] - x_z * sum_t - t_z * self._sum_x[0] + n * x_z * t_z
+            ) / denominator
+        low, high = (
+            (upper_slope, lower_slope) if upper_slope <= lower_slope else (lower_slope, upper_slope)
+        )
+        slope = (
+            (low + high) / 2.0
+            if mse_slope is None
+            else kernels.clip_ties_to_value(mse_slope, low, high)
+        )
+        prev = self._prev
+        if prev is not None:
+            if self.connect_segments:
+                joined = self._gap_join_1d(first_time, t_z, x_z, slope, prev)
+                if joined is None:
+                    joined = self._tail_join_1d(t_z, x_z, mse_slope, prev)
+                if joined is not None:
+                    connection_time, joined_slope, connection_value = joined
+                    self._emit(connection_time, [connection_value], RecordingKind.SEGMENT_END)
+                    self._connection_time = connection_time
+                    return [Line(joined_slope, x_z - joined_slope * t_z)], connection_time
+            # _flush_previous_segment
+            prev_line = prev.lines[0]
+            end_time = prev.end_time
+            self._emit(
+                end_time,
+                [prev_line.slope * end_time + prev_line.intercept],
+                RecordingKind.SEGMENT_END,
+            )
+            self._prev = None
+        intercept = x_z - slope * t_z
+        self._emit(first_time, [slope * first_time + intercept], RecordingKind.SEGMENT_START)
+        return [Line(slope, intercept)], first_time
+
+    def _gap_join_1d(
+        self,
+        first_time: float,
+        t_z: float,
+        x_z: float,
+        clamped_slope: float,
+        prev: _PreviousSegment,
+    ) -> Optional[Tuple[float, float, float]]:
+        """:meth:`_attempt_gap_connection` for one dimension, emitting nothing.
+
+        ``clamped_slope`` is the clamped MSE slope through the apex ``(t_z,
+        x_z)``.  Returns ``(connection_time, slope, g_prev(connection_time))``
+        of the joined segment, or ``None``.
+        """
+        end_time = prev.end_time
+        min_time = prev.min_connection_time
+        window_low = min_time if min_time > end_time else end_time
+        if first_time < window_low:
+            return None
+        prev_line = prev.lines[0]
+        prev_slope = prev_line.slope
+        prev_intercept = prev_line.intercept
+        # _admissible_connection_times: one or two closed intervals, the
+        # second as ``None`` ends when absent.
+        lower_slope = self._lower[0].slope
+        upper_slope = self._upper[0].slope
+        low, high = (
+            (lower_slope, upper_slope) if lower_slope < upper_slope else (upper_slope, lower_slope)
+        )
+        gap = (prev_slope * t_z + prev_intercept) - x_z
+        infinity = math.inf
+        second_lo = second_hi = None
+        if gap == 0.0:
+            if low <= prev_slope <= high:
+                first_lo, first_hi = -infinity, infinity
+            else:
+                first_lo = first_hi = t_z
+        elif low == prev_slope == high:
+            return None
+        else:
+            at_low = None if low == prev_slope else t_z + gap / (low - prev_slope)
+            at_high = None if high == prev_slope else t_z + gap / (high - prev_slope)
+            if prev_slope < low or prev_slope > high:
+                first_lo, first_hi = (at_high, at_low) if at_high < at_low else (at_low, at_high)
+            elif prev_slope == low:
+                first_lo, first_hi = (at_high, infinity) if gap > 0 else (-infinity, at_high)
+            elif prev_slope == high:
+                first_lo, first_hi = (at_low, infinity) if gap < 0 else (-infinity, at_low)
+            elif gap > 0:
+                first_lo, first_hi, second_lo, second_hi = -infinity, at_low, at_high, infinity
+            else:
+                first_lo, first_hi, second_lo, second_hi = -infinity, at_high, at_low, infinity
+        # _intersect_interval_sets with the window [window_low, first_time].
+        first_lo = first_lo if first_lo > window_low else window_low
+        first_hi = first_hi if first_hi < first_time else first_time
+        first_kept = first_lo <= first_hi
+        second_kept = False
+        if second_lo is not None:
+            second_lo = second_lo if second_lo > window_low else window_low
+            second_hi = second_hi if second_hi < first_time else first_time
+            second_kept = second_lo <= second_hi
+        if not (first_kept or second_kept):
+            return None
+        # _preferred_connection_time, the mean of the one preference, then
+        # _closest_in_intervals (the first interval wins a tie).
+        difference = clamped_slope - prev_slope
+        crossing = (
+            None
+            if difference == 0.0
+            else (prev_intercept - (x_z - clamped_slope * t_z)) / difference
+        )
+        if crossing is not None and math.isfinite(crossing):
+            target = 0.0 + crossing
+        else:
+            target = (window_low + first_time) / 2.0
+        connection_time = None
+        best_distance = infinity
+        if first_kept:
+            connection_time, best_distance = _nearest(target, first_lo, first_hi)
+        if second_kept:
+            candidate, distance = _nearest(target, second_lo, second_hi)
+            if distance < best_distance:
+                connection_time = candidate
+        connection_time = float(connection_time)
+        connection_value = prev_slope * connection_time + prev_intercept
+        if math.isclose(t_z, connection_time, rel_tol=0.0, abs_tol=EPSILON_TIME):
+            # The connection time coincides with the apex: the previous
+            # segment already passes through it, so reuse its slope clamped
+            # into the admissible range.
+            slope = kernels.clip_ties_to_value(prev_slope, low, high)
+        else:
+            slope = (connection_value - x_z) / (connection_time - t_z)
+        # _interval_is_safe
+        if (
+            self.validate_connections
+            and self._raw_times is not None
+            and not _within(
+                self._raw_times, self._raw_values, slope, x_z - slope * t_z, self._epsilon_list()[0]
+            )
+        ):
+            return None
+        return connection_time, slope, connection_value
+
+    def _tail_join_1d(
+        self, t_z: float, x_z: float, mse_slope: Optional[float], prev: _PreviousSegment
+    ) -> Optional[Tuple[float, float, float]]:
+        """:meth:`_attempt_tail_connection` for one dimension, emitting nothing.
+
+        ``mse_slope`` is the unclamped MSE slope through the apex (``None``
+        where its denominator is not positive).  Returns like
+        :meth:`_gap_join_1d`.
+        """
+        prev_line = prev.lines[0]
+        prev_slope = prev_line.slope
+        prev_intercept = prev_line.intercept
+        upper = self._upper[0]
+        lower = self._lower[0]
+        end = prev.end_time
+        prev_end = prev_slope * end + prev_intercept
+        infinity = math.inf
+        # _connection_window (Lemma 4.4): ``near`` is the bound g^{k-1} must
+        # meet before ``end`` (f), ``far`` the other one (c), and ``outer``
+        # the previous interval's bound on the apex's side (the guard's end).
+        if (prev_slope * t_z + prev_intercept) - x_z >= 0.0:
+            near, far, outer = lower, upper, prev.lower[0]
+            if near.slope * end + near.intercept <= outer.slope * end + outer.intercept:
+                return None
+            below = True
+        else:
+            near, far, outer = upper, lower, prev.upper[0]
+            if near.slope * end + near.intercept >= outer.slope * end + outer.intercept:
+                return None
+            below = False
+        difference = prev_slope - near.slope
+        if difference == 0.0:
+            return None
+        f = (near.intercept - prev_intercept) / difference
+        if f >= end:
+            return None
+        difference = prev_slope - far.slope
+        if difference == 0.0:
+            c = None
+            far_end = far.slope * end + far.intercept
+            if (prev_end < far_end) if below else (prev_end > far_end):
+                return None
+        else:
+            c = (far.intercept - prev_intercept) / difference
+        d = None
+        if not math.isclose(t_z, end, rel_tol=0.0, abs_tol=EPSILON_TIME):
+            # The guard line s^{k-1} through the apex and the outer bound's end.
+            guard_slope = ((outer.slope * end + outer.intercept) - x_z) / (end - t_z)
+            guard_intercept = x_z - guard_slope * t_z
+            difference = prev_slope - guard_slope
+            if difference == 0.0:
+                guard_end = guard_slope * end + guard_intercept
+                if (prev_end < guard_end) if below else (prev_end > guard_end):
+                    return None
+            else:
+                d = (guard_intercept - prev_intercept) / difference
+        if c is None:
+            lo = -infinity if d is None else d
+        else:
+            lo = c if d is None or not d > c else d
+        # _attempt_tail_connection's window clamps.
+        alpha = lo if lo > -infinity else -infinity
+        beta = f if f < infinity else infinity
+        min_time = prev.min_connection_time
+        alpha = min_time if min_time > alpha else alpha
+        beta = end if end < beta else beta
+        if not math.isfinite(alpha) or not math.isfinite(beta) or alpha > beta:
+            return None
+        start = prev.start_time
+        if beta <= start:
+            return None
+        start = math.nextafter(start, infinity)
+        alpha = start if start > alpha else alpha
+        if alpha > beta:
+            return None
+        # The preferred connection time, from the MSE slope clamped between
+        # the lines through the apex and g^{k-1} at alpha and at beta.
+        if math.isclose(t_z, alpha, rel_tol=0.0, abs_tol=EPSILON_TIME) or math.isclose(
+            t_z, beta, rel_tol=0.0, abs_tol=EPSILON_TIME
+        ):
+            preferred = (alpha + beta) / 2.0
+        else:
+            slope_a = ((prev_slope * alpha + prev_intercept) - x_z) / (alpha - t_z)
+            slope_b = ((prev_slope * beta + prev_intercept) - x_z) / (beta - t_z)
+            low, high = (slope_a, slope_b) if slope_a <= slope_b else (slope_b, slope_a)
+            slope = (
+                (low + high) / 2.0
+                if mse_slope is None
+                else kernels.clip_ties_to_value(mse_slope, low, high)
+            )
+            difference = slope - prev_slope
+            preferred = (
+                None
+                if difference == 0.0
+                else (prev_intercept - (x_z - slope * t_z)) / difference
+            )
+            if preferred is None or not (alpha <= preferred <= beta):
+                preferred = (alpha + beta) / 2.0
+        connection_time = kernels.clip_ties_to_value(0.0 + preferred, alpha, beta)
+        connection_value = prev_slope * connection_time + prev_intercept
+        if math.isclose(t_z, connection_time, rel_tol=0.0, abs_tol=EPSILON_TIME):
+            slope = prev_slope
+        else:
+            slope = (connection_value - x_z) / (connection_time - t_z)
+        # _connection_is_safe: the tail of interval k-1 after the connection
+        # time, then interval k.
+        if self.validate_connections and prev.points is not None and self._raw_times is not None:
+            prev_times, prev_values = prev.points
+            tail = bisect_right(prev_times, connection_time)
+            intercept = x_z - slope * t_z
+            eps = self._epsilon_list()[0]
+            if not (
+                _within(prev_times[tail:], prev_values[tail:], slope, intercept, eps)
+                and _within(self._raw_times, self._raw_values, slope, intercept, eps)
+            ):
+                return None
+        return connection_time, slope, connection_value
 
     def _apex_points(self, first_time: float) -> List[Tuple[float, float]]:
         """Per-dimension intersection ``zᵢ`` of the final bounds."""
@@ -1078,19 +1397,13 @@ class SlideFilter(StreamFilter):
     def _points_within(self, times: List[float], values: list, lines: List[Line]) -> bool:
         """Whether every buffered point lies within ε of ``lines`` (with slack).
 
-        A float loop per dimension over the buffered points, testing
-        ``|line(t) - x| <= ε + slack · ((1 + |x|) + ε)`` in that operand
-        order.  1-D buffers hold floats; wider ones hold ``(d,)`` rows.
+        One :func:`_within` float loop per dimension over the buffered
+        points.  1-D buffers hold floats; wider ones hold ``(d,)`` rows.
         """
         columns = [values] if self._dimensions == 1 else zip(*(row.tolist() for row in values))
         for column, line, eps in zip(columns, lines, self._epsilon_list()):
-            slope = line.slope
-            intercept = line.intercept
-            for t, x in zip(times, column):
-                if not abs((t * slope + intercept) - x) <= eps + _VALIDATION_SLACK * (
-                    (1.0 + abs(x)) + eps
-                ):
-                    return False
+            if not _within(times, column, line.slope, line.intercept, eps):
+                return False
         return True
 
     def _flush_previous_segment(self) -> None:

@@ -70,13 +70,16 @@ def skip_points(
 ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """Drop the first ``skip`` points from a chunk iterable (resume path).
 
-    Every chunk is normalized (:func:`normalize_chunk`); chunks the skip
-    covers entirely, and empty chunks, are dropped.
+    Every chunk is normalized (:func:`normalize_chunk`).  While points are
+    left to skip, the chunks the skip covers entirely (empty ones included)
+    are dropped; once none are left, every chunk passes, empty ones too, so
+    a checkpointed ingest counts the source's chunks as an unchecked one
+    does.
     """
     remaining = skip
     for times, values in chunks:
         times, values = normalize_chunk(times, values)
-        if remaining >= times.shape[0]:
+        if remaining > 0 and remaining >= times.shape[0]:
             remaining -= times.shape[0]
             continue
         if remaining > 0:

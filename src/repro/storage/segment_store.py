@@ -509,17 +509,13 @@ class SegmentStore:
         records = list(recordings)
         if not records:
             return self._catalog.get(name)
-        dimensions = records[0].dimensions
-        count = len(records)
-        kinds = np.empty(count, dtype=np.uint8)
-        times = np.empty(count, dtype=float)
-        values = np.empty((count, dimensions), dtype=float)
-        for index, record in enumerate(records):
-            if record.dimensions != dimensions:
-                raise ValueError("recordings must share one dimensionality")
-            kinds[index] = RECORD_KINDS[record.kind]
-            times[index] = record.time
-            values[index] = record.value
+        kinds = np.array([RECORD_KINDS[record.kind] for record in records], dtype=np.uint8)
+        times = np.array([record.time for record in records], dtype=float)
+        try:
+            values = np.array([record.value for record in records], dtype=float)
+        except ValueError:
+            # Value vectors of different lengths do not stack.
+            raise ValueError("recordings must share one dimensionality") from None
         return self._append_arrays(name, kinds, times, values, epsilon)
 
     def append_arrays(

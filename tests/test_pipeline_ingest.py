@@ -15,6 +15,7 @@ from crash_harness import store_log_digest
 
 import repro
 from repro.api import FilterSpec
+from repro.api.session import StreamDB
 from repro.approximation.reconstruct import reconstruct
 from repro.core.errors import StreamOrderError
 from repro.core.registry import available_filters
@@ -282,6 +283,68 @@ class TestFailedBulkIngest:
         with repro.open(tmp_path / "db", filter=spec) as db:
             report = db.ingest("s", source=iter(chunks), checkpoint=tmp_path / "ck", resume=True)
         assert report.points == len(times) - 600
+        with repro.open(tmp_path / "reference", filter=spec) as db:
+            db.ingest("s", source=iter(chunks))
+        assert stored_state(tmp_path / "db") == stored_state(tmp_path / "reference")
+
+    @staticmethod
+    def chunks_with_gaps(times, values):
+        """Ten 100-point chunks, each followed by an empty one."""
+        chunks = []
+        for chunk in iter_chunks(times[:1000], values[:1000], 100):
+            chunks += [chunk, (np.empty(0), np.empty(0))]
+        return chunks
+
+    def test_empty_chunks_count_with_and_without_checkpoints(
+        self, tmp_path, noisy_walk, monkeypatch
+    ):
+        chunks = self.chunks_with_gaps(*noisy_walk)
+        spec = FilterSpec("slide", epsilon=0.5)
+        with repro.open(tmp_path / "plain", filter=spec) as db:
+            plain = db.ingest("s", source=iter(chunks))
+        pulled = []
+        saved_after = []
+
+        def source():
+            for chunk in chunks:
+                pulled.append(chunk)
+                yield chunk
+
+        save = StreamDB._save_checkpoint
+
+        def counting_save(db, *args, **kwargs):
+            saved_after.append(len(pulled))
+            return save(db, *args, **kwargs)
+
+        monkeypatch.setattr(StreamDB, "_save_checkpoint", counting_save)
+        with repro.open(tmp_path / "checked", filter=spec) as db:
+            checked = db.ingest(
+                "s", source=source(), checkpoint=tmp_path / "ck", checkpoint_every=4
+            )
+        assert plain.chunks == checked.chunks == 20
+        # Before the first chunk, after every fourth source chunk, and complete.
+        assert saved_after == [0, 4, 8, 12, 16, 20, 20]
+        assert stored_state(tmp_path / "checked") == stored_state(tmp_path / "plain")
+
+    def test_resume_still_skips_what_its_checkpoint_covers(self, tmp_path, noisy_walk):
+        chunks = self.chunks_with_gaps(*noisy_walk)
+        spec = FilterSpec("slide", epsilon=0.5)
+
+        def failing():
+            for index, chunk in enumerate(chunks):
+                if index == 11:
+                    raise RuntimeError("source failed")
+                yield chunk
+
+        with repro.open(tmp_path / "db", filter=spec) as db:
+            with pytest.raises(RuntimeError, match="source failed"):
+                db.ingest("s", source=failing(), checkpoint=tmp_path / "ck", checkpoint_every=4)
+        # The last checkpoint came after eight source chunks: four full ones.
+        assert CheckpointManager(tmp_path / "ck").load("s").points_ingested == 400
+        with repro.open(tmp_path / "db", filter=spec) as db:
+            report = db.ingest("s", source=iter(chunks), checkpoint=tmp_path / "ck", resume=True)
+        assert report.points == 600
+        assert report.chunks == 13  # the empty chunk right after the skip passes
         with repro.open(tmp_path / "reference", filter=spec) as db:
             db.ingest("s", source=iter(chunks))
         assert stored_state(tmp_path / "db") == stored_state(tmp_path / "reference")

@@ -37,6 +37,50 @@ class TestCatalog:
         assert entry.first_time == result.recordings[0].time
         assert entry.last_time == result.recordings[-1].time
 
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-stream", "existing-stream"])
+    def test_mixed_dimensionality_is_refused_with_nothing_written(self, tmp_path, existing):
+        root = tmp_path / "segments"
+        store = SegmentStore(root)
+        if existing:
+            store.append("walk", [Recording(0.0, [1.0], RecordingKind.SEGMENT_START)])
+        store.close()
+        files = {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
+        store = SegmentStore(root)
+        mixed = [
+            Recording(1.0, [1.0], RecordingKind.SEGMENT_START),
+            Recording(2.0, [1.0, 2.0], RecordingKind.SEGMENT_END),
+        ]
+        with pytest.raises(ValueError, match="recordings must share one dimensionality"):
+            store.append("walk", mixed)
+        assert ("walk" in store) == existing
+        if existing:
+            assert store.describe("walk").recordings == 1
+        store.close()
+        assert {path: path.read_bytes() for path in root.rglob("*") if path.is_file()} == files
+
+    def test_append_writes_what_append_arrays_writes(self, tmp_path):
+        times, values = np.arange(400.0), np.cumsum(
+            np.random.default_rng(4).normal(0.0, 0.4, (400, 2)), axis=0
+        )
+        slide = SlideFilter(0.25)
+        recordings = slide.process_batch(times, values) + slide.finish()
+        by_record = SegmentStore(tmp_path / "records")
+        by_record.append("walk", recordings, epsilon=[0.25, 0.25])
+        by_record.close()
+        by_array = SegmentStore(tmp_path / "arrays")
+        by_array.append_arrays(
+            "walk",
+            [record.time for record in recordings],
+            np.array([record.value for record in recordings]),
+            [record.kind for record in recordings],
+            epsilon=[0.25, 0.25],
+        )
+        by_array.close()
+        for path in (tmp_path / "records").rglob("*"):
+            if path.is_file():
+                twin = tmp_path / "arrays" / path.relative_to(tmp_path / "records")
+                assert path.read_bytes() == twin.read_bytes(), path.name
+
     def test_describe_unknown_stream(self, store):
         with pytest.raises(KeyError):
             store.describe("missing")
