@@ -167,9 +167,10 @@ def _synchronized(method):
 
     One lock covers the whole session (store handle, live filters, sink
     buffers move together on every operation), so a session is safe to share
-    across threads — the server layer drives one ``StreamDB`` from a thread
-    pool.  Re-entrant because public methods compose (``close`` seals,
-    ``observe`` appends, split ingests fan out through ``ingest_many``).
+    across threads — a program may append from its own threads to a session
+    that a server drives from its event loop.  Re-entrant because public
+    methods compose (``close`` seals, ``observe`` appends, split ingests fan
+    out through ``ingest_many``).
     """
 
     @functools.wraps(method)
@@ -728,13 +729,7 @@ class StreamDB:
         """Feed one measurement (convenience wrapper around :meth:`append`)."""
         return self.append(stream, [time], np.atleast_2d(np.asarray(value, dtype=float)))
 
-    async def aappend_stream(
-        self,
-        stream: str,
-        source,
-        *,
-        executor=None,
-    ) -> Tuple[int, int]:
+    async def aappend_stream(self, stream: str, source) -> Tuple[int, int]:
         """Drain an async chunk source through the *live* :meth:`append` path.
 
         Each ``(times, values)`` chunk of ``source`` (any
@@ -744,32 +739,28 @@ class StreamDB:
         state between chunks and recording listeners fire per chunk, as
         they do during :meth:`aingest`.  Unlike :meth:`aingest`, which
         installs a fresh writer and seals the stream when its source ends,
-        this feeds whatever writer :meth:`append` finds or starts, can run
-        each chunk in an executor, and leaves the stream live; :meth:`seal`
-        ends it.
+        this feeds whatever writer :meth:`append` finds or starts and
+        leaves the stream live; :meth:`seal` ends it.
+
+        Each chunk's :meth:`append` runs on the event loop, to completion,
+        and the drain then yields to the loop: a source with many chunks
+        queued takes turns with the loop's other tasks (other streams'
+        drains, connection readers) chunk by chunk instead of holding the
+        loop until it is empty.
 
         Args:
             stream: Target stream name.
             source: Async iterable of ``(times, values)`` chunk pairs.
-            executor: Optional ``concurrent.futures`` executor; when given,
-                each chunk's :meth:`append` runs in it via
-                ``loop.run_in_executor`` so the event loop never blocks on
-                the session lock or store I/O.
 
         Returns:
             ``(points, recordings)`` totals drained from the source.
         """
         points = 0
         recordings = 0
-        loop = asyncio.get_running_loop() if executor is not None else None
         async for times, values in source:
-            if executor is None:
-                recordings += self.append(stream, times, values)
-            else:
-                recordings += await loop.run_in_executor(
-                    executor, self.append, stream, times, values
-                )
+            recordings += self.append(stream, times, values)
             points += len(times)
+            await asyncio.sleep(0)
         return points, recordings
 
     def add_recording_listener(self, callback: RecordingListener) -> None:

@@ -7,13 +7,17 @@ TCP clients over one :class:`~repro.api.session.StreamDB` session:
 
 * bounded ingest queues feeding the live append path (backpressure reaches
   the client as ``throttle`` responses, never unbounded buffering),
-* planner-backed queries over stored plus in-flight state, run on a thread
-  executor so the event loop never blocks on storage reads,
+* planner-backed queries over stored plus in-flight state,
 * live tail subscriptions — each newly recorded segment pushed to
   subscribers through the :class:`~repro.server.hub.BroadcastHub`,
 * per-stream token authorization and ingest rate limiting
   (:mod:`repro.server.auth`), and
 * graceful shutdown (drain → flush → checkpoint).
+
+The server calls the session on its event loop and starts no thread.  A
+session call runs there to completion, so while one ingest chunk or one
+query runs, no frame is read and no ``ping`` is answered; each stream's
+ingest drain yields to the loop after every chunk.
 
 Start one from the command line with ``repro serve`` or in code::
 

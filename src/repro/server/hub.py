@@ -5,10 +5,12 @@ what you'd ship over a constrained link — is published here and fanned out
 to the stream's subscribers.  The hub is the bridge between two worlds:
 
 * **Publishers** are session recording listeners, which fire on whatever
-  thread ran ``StreamDB.append`` (the server's thread-pool executor).
+  thread ran ``StreamDB.append``: the event loop's own thread for the
+  server's writes, which call the session on the loop, and any thread of
+  an embedding program that appends to a session it also serves.
   :meth:`BroadcastHub.publish` is therefore thread-safe: it hops onto the
-  event loop via ``call_soon_threadsafe`` and touches subscriber state only
-  there.
+  event loop via ``call_soon_threadsafe`` from every thread, the loop's
+  own included, and touches subscriber state only there.
 * **Subscribers** are asyncio consumers (one pump task per subscribed
   connection) draining bounded queues of :class:`TailEvent`.
 

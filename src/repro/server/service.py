@@ -11,12 +11,19 @@ single :class:`~repro.api.session.StreamDB`:
   buffering without bound — backpressure reaches the client, never the
   heap.
 * **Queries** — ``aggregate`` / ``resample`` / ``zoom`` / ``crossings`` /
-  ``read`` run on a thread-pool executor (the session serializes itself on
-  its own lock), so the event loop never blocks on mmap reads while a
-  hundred clients are connected.
+  ``read`` answer from stored plus in-flight state.
 * **Tail subscriptions** — a session recording listener feeds the
   :class:`~repro.server.hub.BroadcastHub`; every newly recorded segment is
   pushed to subscribers as it is emitted, with slow subscribers evicted.
+
+Every session call runs on the event loop's own thread, one at a time and
+to completion: the server starts no thread.  The session serializes its
+calls on its lock, and the interpreter lock runs one thread's Python at a
+time, so a thread pool would add a hop per call and no parallelism.  The
+trade-off: while a call runs, no frame is read and no ``ping`` is
+answered.  Its op sets how long that is — one ingest chunk through the
+filter, or one query — and each stream's drain yields to the loop after
+every chunk, so readers and the other streams' drains take turns with it.
 
 The server owns the store's writer lock for its lifetime (taken by the
 session's writer-mode store on open) and shuts down gracefully: stop
@@ -27,10 +34,8 @@ checkpoint of the live filter states, close.
 from __future__ import annotations
 
 import asyncio
-import functools
 import logging
 import types
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Optional, Set, Union
@@ -130,6 +135,8 @@ class _Connection:
     codec: str = CODEC_JSON
     grants: Optional[tuple] = None
     subscriptions: Dict[int, "asyncio.Task"] = field(default_factory=dict)
+    #: Streams this connection sent points to: its rate-limiter keys.
+    ingested: Set[str] = field(default_factory=set)
     write_lock: "asyncio.Lock" = field(default_factory=asyncio.Lock)
     next_subscription: int = 1
 
@@ -162,8 +169,13 @@ class StreamDBServer:
             filter state there (and detaches instead of sealing), so a
             restarted server resumes bit-identically.
         close_db: Close the session on :meth:`aclose` (default); pass
-            ``False`` when the caller keeps using it.
-        executor_workers: Thread-pool size for session calls.
+            ``False`` when the caller keeps using it.  The caller may also
+            append to it from its own threads while it is served: the
+            session's lock serializes those calls with the server's, and
+            the hub carries their recordings to subscribers.
+
+    Session calls run on the serving event loop (see the module docstring),
+    so a running server has no thread besides the loop's own.
     """
 
     def __init__(
@@ -179,7 +191,6 @@ class StreamDBServer:
         tail_queue: int = DEFAULT_TAIL_QUEUE,
         checkpoint_dir: Optional[Union[str, Path]] = None,
         close_db: bool = True,
-        executor_workers: int = 4,
     ) -> None:
         if ingest_queue < 1:
             raise ValueError(f"ingest_queue must be positive, got {ingest_queue}")
@@ -194,9 +205,6 @@ class StreamDBServer:
         self._tail_queue = tail_queue
         self._checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir else None
         self._close_db = close_db
-        self._executor = ThreadPoolExecutor(
-            max_workers=executor_workers, thread_name_prefix="streamdb-server"
-        )
         self._hub: Optional[BroadcastHub] = None
         self._server: Optional["asyncio.AbstractServer"] = None
         self._loop: Optional["asyncio.AbstractEventLoop"] = None
@@ -258,21 +266,20 @@ class StreamDBServer:
             await self._server.wait_closed()
         for stream in list(self._channels):
             await self._close_channel(stream)
-        await self._run(self._db.flush)
+        self._db.flush()
         if self._checkpoint_dir is not None:
-            await self._run(self._db.snapshot, self._checkpoint_dir)
-            for stream in list(await self._run(self._db.live_streams)):
-                await self._run(self._db.detach, stream)
+            self._db.snapshot(self._checkpoint_dir)
+            for stream in self._db.live_streams():
+                self._db.detach(stream)
         self._db.remove_recording_listener(self._on_recordings)
         if self._close_db:
-            await self._run(self._db.close)
+            self._db.close()
         if self._hub is not None:
             self._hub.close()
         for connection in list(self._connections):
             for task in list(connection.subscriptions.values()):
                 task.cancel()
             connection.writer.close()
-        self._executor.shutdown(wait=True)
 
     async def __aenter__(self) -> "StreamDBServer":
         return await self.start()
@@ -280,16 +287,10 @@ class StreamDBServer:
     async def __aexit__(self, exc_type, exc, tb) -> None:
         await self.aclose()
 
-    async def _run(self, fn, *args, **kwargs):
-        """Run a session call on the executor; the loop stays responsive."""
-        if kwargs:
-            fn = functools.partial(fn, *args, **kwargs)
-            args = ()
-        return await self._loop.run_in_executor(self._executor, fn, *args)
-
     def _on_recordings(self, stream, recordings, sealed) -> None:
-        # Session listener: runs on whatever thread appended (usually an
-        # executor worker).  The hub hops back onto the loop itself.
+        # Session listener: runs on whatever thread appended — the loop's
+        # own for served writes, the embedding program's thread for its
+        # writes (close_db=False).  The hub hops onto the loop either way.
         if self._hub is not None:
             self._hub.publish(stream, recordings, sealed)
 
@@ -307,7 +308,7 @@ class StreamDBServer:
 
     async def _drain_channel(self, stream: str, source: QueueAsyncSource) -> None:
         try:
-            await self._db.aappend_stream(stream, source, executor=self._executor)
+            await self._db.aappend_stream(stream, source)
         except Exception as error:  # noqa: BLE001 - reported per-op, not fatal
             channel = self._channels.get(stream)
             if channel is not None:
@@ -353,10 +354,9 @@ class StreamDBServer:
             self._connections.discard(connection)
             for task in list(connection.subscriptions.values()):
                 task.cancel()
-            if self._limiter.enabled:
-                self._limiter.forget(
-                    (connection.ident, stream) for stream in list(self._channels)
-                )
+            self._limiter.forget(
+                (connection.ident, stream) for stream in connection.ingested
+            )
             writer.close()
 
     async def _dispatch(self, connection: _Connection, request: Dict) -> None:
@@ -448,11 +448,26 @@ class StreamDBServer:
         except (ValueError, TypeError) as error:
             raise _RequestError("bad_request", str(error)) from None
         points = len(times)
+        channel = self._channels.get(stream)
         if not points:
             # Nothing to record.  Queued, it would create the stream's filter,
             # and an epsilon percentage cannot resolve against no values.
-            channel = self._channels.get(stream)
             return {"accepted": 0, "queued": channel.source.qsize() if channel else 0}
+        if channel is not None:
+            if channel.error is not None:
+                raise _RequestError(
+                    "ingest_failed",
+                    f"ingest for stream {stream!r} failed: {channel.error}",
+                )
+            # Refused before the rate limiter admits it, so a throttled
+            # chunk spends no budget and its retry is charged once.
+            if channel.source.full():
+                raise _RequestError(
+                    "throttle",
+                    f"ingest queue for stream {stream!r} is full",
+                    retry_after=_THROTTLE_RETRY,
+                )
+        connection.ingested.add(stream)
         admitted, retry_after = self._limiter.admit((connection.ident, stream), points)
         if not admitted:
             raise _RequestError(
@@ -461,19 +476,7 @@ class StreamDBServer:
                 retry_after=retry_after,
             )
         channel = self._channel_for(stream)
-        if channel.error is not None:
-            raise _RequestError(
-                "ingest_failed",
-                f"ingest for stream {stream!r} failed: {channel.error}",
-            )
-        try:
-            channel.source.put_nowait(times, values)
-        except asyncio.QueueFull:
-            raise _RequestError(
-                "throttle",
-                f"ingest queue for stream {stream!r} is full",
-                retry_after=_THROTTLE_RETRY,
-            ) from None
+        channel.source.put_nowait(times, values)
         channel.points += points
         return {"accepted": points, "queued": channel.source.qsize()}
 
@@ -497,7 +500,7 @@ class StreamDBServer:
             await self._close_channel(stream)
             failed = channel.error
         try:
-            entry = await self._run(self._db.seal, stream)
+            entry = self._db.seal(stream)
         except KeyError:
             if failed is not None:
                 raise _RequestError(
@@ -515,7 +518,7 @@ class StreamDBServer:
     async def _op_streams(self, connection: _Connection, request: Dict) -> Dict:
         if self._authorizer.enabled and connection.grants is None:
             raise _RequestError("auth", "authenticate first (op 'auth')")
-        names = await self._run(self._db.streams)
+        names = self._db.streams()
         return {
             "streams": [
                 name
@@ -526,7 +529,7 @@ class StreamDBServer:
 
     async def _op_describe(self, connection: _Connection, request: Dict) -> Dict:
         stream = self._require_stream(connection, request)
-        entry = await self._run(self._describe_sync, stream)
+        entry = self._describe_sync(stream)
         if entry is None:
             raise _RequestError(
                 "unknown_stream", f"unknown stream {stream!r}"
@@ -546,7 +549,7 @@ class StreamDBServer:
 
         ``StreamDB.describe`` only answers once a stream's first buffer is
         archived; a freshly ingested live stream would look unknown to
-        clients that just synced it.  Runs on the executor thread.
+        clients that just synced it.
         """
         try:
             return self._db.describe(stream)
@@ -569,14 +572,14 @@ class StreamDBServer:
 
     async def _op_read(self, connection: _Connection, request: Dict) -> Dict:
         stream = self._require_stream(connection, request)
-        recordings = await self._query(
+        recordings = self._query(
             self._db.read, stream, _number(request, "start"), _number(request, "end")
         )
         return recordings_to_wire(recordings)
 
     async def _op_aggregate(self, connection: _Connection, request: Dict) -> Dict:
         stream = self._require_stream(connection, request)
-        call = functools.partial(
+        result = self._query(
             self._db.aggregate,
             stream,
             _number(request, "start"),
@@ -585,14 +588,13 @@ class StreamDBServer:
             step=_number(request, "step"),
             dimension=_integer(request, "dimension", 0),
         )
-        result = await self._query(call)
         if isinstance(result, list):
             return {"windows": aggregates_to_wire(result)}
         return {"aggregate": aggregates_to_wire([result])[0]}
 
     async def _op_resample(self, connection: _Connection, request: Dict) -> Dict:
         stream = self._require_stream(connection, request)
-        times, values = await self._query(
+        times, values = self._query(
             self._db.resample,
             stream,
             _number(request, "step", required=True),
@@ -603,7 +605,7 @@ class StreamDBServer:
 
     async def _op_zoom(self, connection: _Connection, request: Dict) -> Dict:
         stream = self._require_stream(connection, request)
-        call = functools.partial(
+        cells = self._query(
             self._db.zoom,
             stream,
             _number(request, "start"),
@@ -611,12 +613,11 @@ class StreamDBServer:
             max_points=_integer(request, "max_points", DEFAULT_MAX_POINTS),
             dimension=_integer(request, "dimension", 0),
         )
-        cells = await self._query(call)
         return {"cells": zoom_cells_to_wire(cells)}
 
     async def _op_crossings(self, connection: _Connection, request: Dict) -> Dict:
         stream = self._require_stream(connection, request)
-        call = functools.partial(
+        times = self._query(
             self._db.crossings,
             stream,
             _number(request, "threshold", required=True),
@@ -624,12 +625,12 @@ class StreamDBServer:
             _number(request, "end"),
             dimension=_integer(request, "dimension", 0),
         )
-        times = await self._query(call)
         return {"times": np.asarray(times, dtype=float)}
 
-    async def _query(self, fn, *args):
+    def _query(self, fn, *args, **kwargs):
+        """A session query, its ``KeyError``/``ValueError`` as request errors."""
         try:
-            return await self._run(fn, *args)
+            return fn(*args, **kwargs)
         except KeyError as error:
             raise _RequestError("unknown_stream", str(error)) from None
         except ValueError as error:

@@ -508,18 +508,22 @@ class TestFlowControl:
                     (times[lo : lo + 100], values[lo : lo + 100])
                     for lo in range(0, times.size, 100)
                 ]
+                # Pipelined, so that several frames land before the drain
+                # takes one (each append blocks the loop it runs on).
+                answers = await asyncio.gather(
+                    *(client.ingest("sensor", t, v, retry=False) for t, v in chunks),
+                    return_exceptions=True,
+                )
                 sent = []
-                for chunk_times, chunk_values in chunks:
-                    try:
-                        await client.ingest(
-                            "sensor", chunk_times, chunk_values, retry=False
-                        )
-                        accepted += 1
-                        sent.append((chunk_times, chunk_values))
-                    except ServerError as error:
-                        assert error.code == "throttle"
-                        assert error.retry_after and error.retry_after > 0
+                for chunk, answer in zip(chunks, answers):
+                    if isinstance(answer, ServerError):
+                        assert answer.code == "throttle"
+                        assert answer.retry_after and answer.retry_after > 0
                         throttled += 1
+                    else:
+                        assert answer == 100
+                        accepted += 1
+                        sent.append(chunk)
                 # with retries the same chunk eventually gets through
                 recovered_times = times + float(times[-1]) + 1.0
                 await client.ingest("sensor", recovered_times[:100], values[:100])
@@ -539,6 +543,54 @@ class TestFlowControl:
             tmp_path.parent / (tmp_path.name + "-ref"), ref_times, ref_values
         )
         assert_recordings_identical(served, expected)
+
+    def test_throttled_chunk_spends_no_rate_budget(self, tmp_path):
+        times, values = make_workload(seed=45, length=300)
+        chunks = [(times[lo : lo + 100], values[lo : lo + 100]) for lo in (0, 100, 200)]
+
+        async def run():
+            db = repro.open(tmp_path / "store", filter=FILTER)
+            async with StreamDBServer(
+                db, port=0, rate_limit=1.0, rate_burst=300, ingest_queue=1
+            ) as server:
+                client = await AsyncStreamClient.connect("127.0.0.1", server.port)
+                answers = await asyncio.gather(
+                    *(client.ingest("sensor", t, v, retry=False) for t, v in chunks),
+                    return_exceptions=True,
+                )
+                [(level, _)] = server._limiter._buckets.values()
+                await client.sync("sensor")
+                # a throttled chunk's retry is charged once, not again
+                retried = await client.ingest("sensor", *chunks[1], retry=False)
+                await client.close()
+                return answers, level, retried
+
+        answers, level, retried = asyncio.run(run())
+        assert answers[0] == 100
+        assert [answer.code for answer in answers[1:]] == ["throttle", "throttle"]
+        assert level == pytest.approx(200.0, abs=5.0)  # refills at 1 point/s
+        assert retried == 100
+
+    def test_closed_connections_leave_no_rate_buckets(self, tmp_path):
+        times, values = make_workload(seed=46, length=300)
+
+        async def run():
+            db = repro.open(tmp_path / "store", filter=FILTER)
+            async with StreamDBServer(db, port=0, rate_limit=1e6) as server:
+                for index in range(5):
+                    client = await AsyncStreamClient.connect("127.0.0.1", server.port)
+                    await client.ingest(f"s{index}", times, values)
+                    await client.sync(f"s{index}")
+                    await client.seal(f"s{index}")
+                    await client.close()
+                deadline = time.monotonic() + 30
+                while server._connections and time.monotonic() < deadline:
+                    await asyncio.sleep(0.01)
+                return len(server._connections), dict(server._limiter._buckets)
+
+        connections, buckets = asyncio.run(run())
+        assert connections == 0
+        assert buckets == {}
 
     def test_auth_scopes_streams(self, tmp_path):
         times, values = make_workload(seed=42, length=300)
@@ -577,6 +629,92 @@ class TestFlowControl:
                 # the retrying path waits the hint out and succeeds
                 client.ingest("sensor", times[1000:2000], values[1000:2000])
                 client.sync("sensor")
+
+
+# --------------------------------------------------------------------------- #
+# One thread serves: session calls run on the event loop
+# --------------------------------------------------------------------------- #
+class TestLoopServing:
+    def test_serving_starts_no_thread(self, tmp_path):
+        times, values = make_workload(seed=47, length=1200)
+
+        async def run():
+            threads = threading.active_count()
+            db = repro.open(tmp_path / "store", filter=FILTER)
+            async with StreamDBServer(db, port=0) as server:
+                client = await AsyncStreamClient.connect("127.0.0.1", server.port)
+                subscription = await client.subscribe("sensor")
+                for lo in range(0, times.size, 300):
+                    await client.ingest("sensor", times[lo : lo + 300], values[lo : lo + 300])
+                await client.sync("sensor")
+                await client.aggregate("sensor")
+                await client.describe("sensor")
+                await client.seal("sensor")
+                events = [event async for event in subscription]
+                served = await client.read("sensor")
+                await client.close()
+                serving = threading.active_count()
+            return threads, serving, events, served
+
+        threads, serving, events, served = asyncio.run(run())
+        assert serving == threads
+        assert events[-1].sealed
+        tailed = [record for event in events for record in event.recordings]
+        assert_recordings_identical(tailed, served)
+
+    def test_stream_drains_take_turns(self, tmp_path):
+        times, values = make_workload(seed=48, length=800)
+        chunks = [(times[lo : lo + 200], values[lo : lo + 200]) for lo in range(0, 800, 200)]
+
+        async def run():
+            db = repro.open(tmp_path / "store", filter=FILTER)
+            order = []
+            db.add_recording_listener(lambda stream, recordings, sealed: order.append(stream))
+            async with StreamDBServer(db, port=0) as server:
+                client = await AsyncStreamClient.connect("127.0.0.1", server.port)
+                # Every chunk is queued before either stream's drain starts.
+                await asyncio.gather(
+                    *(
+                        client.ingest(stream, t, v, retry=False)
+                        for stream in ("a", "b")
+                        for t, v in chunks
+                    )
+                )
+                await client.sync("a")
+                await client.sync("b")
+                await client.close()
+                return list(order)  # before the shutdown seals both
+
+        assert asyncio.run(run()) == ["a", "b"] * 4
+
+    def test_embedding_thread_appends_reach_subscribers(self, tmp_path):
+        """A program that serves its own session may append from its threads."""
+        times, values = make_workload(seed=49, length=1500)
+
+        async def run():
+            db = repro.open(tmp_path / "store", filter=FILTER)
+            try:
+                async with StreamDBServer(db, port=0, close_db=False) as server:
+                    client = await AsyncStreamClient.connect("127.0.0.1", server.port)
+                    subscription = await client.subscribe("sensor")
+                    for lo in range(0, times.size, 250):
+                        await asyncio.to_thread(
+                            db.append, "sensor", times[lo : lo + 250], values[lo : lo + 250]
+                        )
+                    await asyncio.to_thread(db.seal, "sensor")
+                    events = [event async for event in subscription]
+                    await client.close()
+                return events, db.read("sensor")
+            finally:
+                db.close()
+
+        events, stored = asyncio.run(run())
+        assert [event.seq for event in events] == list(range(len(events)))
+        assert events[-1].sealed
+        tailed = [record for event in events for record in event.recordings]
+        assert_recordings_identical(tailed, stored)
+        expected = reference_recordings(tmp_path / "ref", times, values)
+        assert_recordings_identical(tailed, expected)
 
 
 # --------------------------------------------------------------------------- #
