@@ -1,7 +1,11 @@
 """Clients for a served StreamDB (see :mod:`repro.server`).
 
-:func:`connect` opens a blocking :class:`StreamClient`;
-:func:`aconnect` awaits an :class:`AsyncStreamClient`.  Both mirror the
+:func:`aconnect` awaits an :class:`AsyncStreamClient`, the one transport;
+:func:`connect` opens a :class:`StreamClient`, which runs that client's ops
+to completion on a private event loop and starts no thread of its own.
+The blocking client's ``timeout`` bounds each whole call, retries included
+(a call that runs out raises :class:`TimeoutError`); inside a running event
+loop, use :func:`aconnect`.  Both mirror the
 :class:`~repro.api.session.StreamDB` query surface and return the same
 value types a local session does::
 
@@ -36,7 +40,7 @@ __all__ = [
 
 
 def connect(host="127.0.0.1", port=7450, *, token=None, codec=CODEC_ARRAYS, timeout=None):
-    """Open a blocking :class:`StreamClient` connection."""
+    """Open a blocking :class:`StreamClient` connection (``timeout`` bounds each call)."""
     return StreamClient.connect(host, port, token=token, codec=codec, timeout=timeout)
 
 

@@ -1,8 +1,9 @@
-"""Async and sync clients for the StreamDB network service.
+"""The client for the StreamDB network service: one transport, two faces.
 
-Both clients speak the frame protocol of :mod:`repro.server.protocol` and
-mirror the :class:`~repro.api.session.StreamDB` query surface — the values
-that come back are the same types a local session returns
+:class:`AsyncStreamClient` speaks the frame protocol of
+:mod:`repro.server.protocol` and mirrors the
+:class:`~repro.api.session.StreamDB` query surface — the values that come
+back are the same types a local session returns
 (:class:`~repro.core.types.Recording`,
 :class:`~repro.queries.aggregates.RangeAggregate`,
 :class:`~repro.queries.pyramid.ZoomCell`, numpy arrays), so code written
@@ -12,22 +13,28 @@ against a local session ports to the network by swapping ``repro.open`` for
 * :class:`AsyncStreamClient` — one socket, one background reader task;
   requests are correlated by id, server pushes are routed to their tail
   subscriptions.  Safe for many concurrent coroutines.
-* :class:`StreamClient` — a blocking wrapper over the same wire format for
-  scripts and tests; no event loop required.
+* :class:`StreamClient` — the same client for blocking code.  It owns a
+  private event loop and runs each async op to completion on it, so it
+  starts no thread, and between calls nothing reads the socket.  Its
+  ``timeout`` bounds each whole call, retries included: a call that runs
+  out raises :class:`TimeoutError` and the connection stays usable.  Its
+  calls block the thread, so inside a running event loop (where they raise
+  :class:`RuntimeError`) use :class:`AsyncStreamClient`.
 
 Backpressure is cooperative: a ``throttle`` (full ingest queue) or
 ``rate_limit`` response makes :meth:`ingest` sleep the server-suggested
 ``retry_after`` and retry, so a fast producer degrades to the server's pace
 instead of failing — pass ``retry=False`` to surface the refusal instead.
+
+A tail subscription ends with the server's ``tail_end`` push, whose reason
+is ``sealed``, ``evicted``, ``unsubscribed`` or ``shutdown``; one whose
+connection drops first ends as ``disconnected``.
 """
 
 from __future__ import annotations
 
 import asyncio
-import socket
-import struct
-import time
-from collections import deque
+import functools
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -40,10 +47,8 @@ from repro.server.hub import TailEvent
 from repro.server.protocol import (
     CODEC_ARRAYS,
     CODEC_JSON,
-    MAX_FRAME,
     ProtocolError,
     aggregates_from_wire,
-    decode_body,
     encode_frame,
     read_frame,
     recordings_from_wire,
@@ -74,27 +79,6 @@ class ServerError(ReproError):
         )
 
 
-def _aggregate_result(result: Dict) -> Union[RangeAggregate, List[RangeAggregate]]:
-    if "windows" in result:
-        return aggregates_from_wire(result["windows"])
-    return aggregates_from_wire(result["aggregate"])[0]
-
-
-def _resample_result(result: Dict) -> Tuple[np.ndarray, np.ndarray]:
-    # Copies: decoded sections are read-only views of the frame, while a
-    # local session hands out arrays the caller may write to.
-    return np.array(result["times"], dtype=float), np.array(result["values"], dtype=float)
-
-
-def _tail_event(body: Dict) -> TailEvent:
-    return TailEvent(
-        stream=body["stream"],
-        seq=int(body["seq"]),
-        recordings=recordings_from_wire(body),
-        sealed=bool(body["sealed"]),
-    )
-
-
 # --------------------------------------------------------------------- #
 # Async client
 # --------------------------------------------------------------------- #
@@ -103,7 +87,8 @@ class AsyncTailSubscription:
 
     Yields :class:`~repro.server.hub.TailEvent`; iteration ends when the
     server closes the subscription (:attr:`end_reason` says why —
-    ``sealed`` / ``evicted`` / ``unsubscribed`` / ``shutdown``).
+    ``sealed`` / ``evicted`` / ``unsubscribed`` / ``shutdown``) or the
+    connection drops (``disconnected``).
     """
 
     def __init__(self, client: "AsyncStreamClient", ident: int, stream: str) -> None:
@@ -118,7 +103,14 @@ class AsyncTailSubscription:
             self.end_reason = body.get("reason")
             self._events.put_nowait(None)
             return
-        self._events.put_nowait(_tail_event(body))
+        self._events.put_nowait(
+            TailEvent(
+                stream=body["stream"],
+                seq=int(body["seq"]),
+                recordings=recordings_from_wire(body),
+                sealed=bool(body["sealed"]),
+            )
+        )
 
     def __aiter__(self) -> "AsyncTailSubscription":
         return self
@@ -126,11 +118,16 @@ class AsyncTailSubscription:
     async def __anext__(self) -> TailEvent:
         event = await self._events.get()
         if event is None:
+            self._events.put_nowait(None)  # the end marker stays: later calls stop too
             raise StopAsyncIteration
         return event
 
     async def unsubscribe(self) -> None:
-        """Ask the server to stop this tail (iteration then ends)."""
+        """Ask the server to stop this tail.
+
+        Returns on the server's answer; iteration then yields the events
+        still queued and ends at ``tail_end`` (reason ``unsubscribed``).
+        """
         if self.end_reason is None:
             await self._client._request("unsubscribe", subscription=self.ident)
 
@@ -216,10 +213,15 @@ class AsyncStreamClient:
         body.update({key: value for key, value in params.items() if value is not None})
         future = asyncio.get_running_loop().create_future()
         self._pending[request_id] = future
-        async with self._write_lock:
-            self._writer.write(encode_frame(body, self._codec))
-            await self._writer.drain()
-        response = await future
+        try:
+            async with self._write_lock:
+                self._writer.write(encode_frame(body, self._codec))
+                await self._writer.drain()
+            response = await future
+        finally:
+            # A cancelled or failed request leaves no entry behind, so its
+            # late answer is dropped and the connection stays usable.
+            self._pending.pop(request_id, None)
         if not response.get("ok"):
             raise ServerError.from_body(response.get("error", {}))
         return response
@@ -228,9 +230,7 @@ class AsyncStreamClient:
     async def ping(self) -> None:
         await self._request("ping")
 
-    async def ingest(
-        self, stream: str, times, values, *, retry: bool = True
-    ) -> int:
+    async def ingest(self, stream: str, times, values, *, retry: bool = True) -> int:
         """Send one chunk; sleeps and retries on throttle / rate limit.
 
         Returns the number of points the server accepted (queued for its
@@ -240,9 +240,7 @@ class AsyncStreamClient:
         values = np.asarray(values, dtype=float)
         while True:
             try:
-                result = await self._request(
-                    "ingest", stream=stream, times=times, values=values
-                )
+                result = await self._request("ingest", stream=stream, times=times, values=values)
                 return int(result["accepted"])
             except ServerError as error:
                 if not retry or error.code not in _RETRY_CODES:
@@ -283,7 +281,9 @@ class AsyncStreamClient:
             "aggregate", stream=stream, start=start, end=end,
             window=window, step=step, dimension=dimension or None,
         )
-        return _aggregate_result(result)
+        if "windows" in result:
+            return aggregates_from_wire(result["windows"])
+        return aggregates_from_wire(result["aggregate"])[0]
 
     async def resample(
         self,
@@ -292,10 +292,10 @@ class AsyncStreamClient:
         start: Optional[float] = None,
         end: Optional[float] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        result = await self._request(
-            "resample", stream=stream, step=step, start=start, end=end
-        )
-        return _resample_result(result)
+        result = await self._request("resample", stream=stream, step=step, start=start, end=end)
+        # Copies: decoded sections are read-only views of the frame, while a
+        # local session hands out arrays the caller may write to.
+        return np.array(result["times"], dtype=float), np.array(result["values"], dtype=float)
 
     async def zoom(
         self,
@@ -339,9 +339,10 @@ class AsyncStreamClient:
         return await self._request("stats")
 
     async def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            self._writer.close()
+        # The writer closes even when the server dropped the connection
+        # first: the transport stays open after EOF until it is closed.
+        self._closed = True
+        self._writer.close()
         self._reader_task.cancel()
         try:
             await self._reader_task
@@ -356,57 +357,68 @@ class AsyncStreamClient:
 
 
 # --------------------------------------------------------------------- #
-# Sync client
+# Blocking facade
 # --------------------------------------------------------------------- #
-_HEADER = struct.Struct(">I")
+def _blocking(op):
+    """``op``, an :class:`AsyncStreamClient` coroutine method, as a blocking
+    :class:`StreamClient` method with the same parameters and docstring."""
+
+    @functools.wraps(op)
+    def call(self, *args, **kwargs):
+        return self._run(op, self._client, *args, **kwargs)
+
+    return call
 
 
 class SyncTailSubscription:
-    """Blocking iterator over one stream's tail pushes."""
+    """Blocking iterator over one stream's tail pushes.
 
-    def __init__(self, client: "StreamClient", ident: int, stream: str) -> None:
+    Steps an :class:`AsyncTailSubscription` on its client's loop; each
+    ``next()`` is one call, bounded by the client's ``timeout``.
+    """
+
+    def __init__(self, client: "StreamClient", subscription: AsyncTailSubscription) -> None:
         self._client = client
-        self.ident = ident
-        self.stream = stream
-        self.end_reason: Optional[str] = None
-        self._events: "deque" = deque()
+        self._subscription = subscription
+        self.ident = subscription.ident
+        self.stream = subscription.stream
 
-    def _push(self, body: Dict) -> None:
-        if body.get("push") == "tail_end":
-            self.end_reason = body.get("reason")
-            return
-        self._events.append(_tail_event(body))
+    @property
+    def end_reason(self) -> Optional[str]:
+        return self._subscription.end_reason
 
     def __iter__(self) -> "SyncTailSubscription":
         return self
 
     def __next__(self) -> TailEvent:
-        while True:
-            if self._events:
-                return self._events.popleft()
-            if self.end_reason is not None:
-                raise StopIteration
-            self._client._pump_one()
+        try:
+            return self._client._run(self._subscription.__anext__)
+        except StopAsyncIteration:
+            raise StopIteration from None
 
     def unsubscribe(self) -> None:
-        if self.end_reason is None:
-            self._client._request("unsubscribe", subscription=self.ident)
-            # Drain until the server's tail_end arrives (it may interleave
-            # with already-queued pushes).
-            while self.end_reason is None:
-                self._client._pump_one()
+        """Ask the server to stop this tail.
+
+        Returns on the server's answer; iteration then yields the events
+        still queued and ends at ``tail_end`` (reason ``unsubscribed``).
+        """
+        self._client._run(self._subscription.unsubscribe)
 
 
 class StreamClient:
-    """Blocking client over the same wire protocol (no event loop needed)."""
+    """Blocking client: an :class:`AsyncStreamClient` on a private event loop.
 
-    def __init__(self, sock: "socket.socket") -> None:
-        self._socket = sock
-        self._codec = CODEC_JSON
-        self._next_id = 1
-        self._subscriptions: Dict[int, SyncTailSubscription] = {}
-        self._responses: Dict[int, Dict] = {}
-        self._closed = False
+    Every op has the async op's parameters and runs it to completion with
+    ``run_until_complete``; see the module docstring for ``timeout`` and
+    for what a loop without a thread means for tails.  (Connecting to a
+    host name rather than an address, asyncio looks the name up on its
+    default executor's thread.)
+    """
+
+    def __init__(self, loop: "asyncio.AbstractEventLoop", timeout: Optional[float]) -> None:
+        self._loop = loop
+        self._timeout = timeout
+        self._client: Optional[AsyncStreamClient] = None
         self.server_info: Dict = {}
 
     @classmethod
@@ -419,173 +431,61 @@ class StreamClient:
         codec: Optional[str] = CODEC_ARRAYS,
         timeout: Optional[float] = None,
     ) -> "StreamClient":
-        sock = socket.create_connection((host, port), timeout=timeout)
-        client = cls(sock)
+        """Open a connection (see :meth:`AsyncStreamClient.connect`).
+
+        ``timeout`` bounds this call and every later one, in seconds
+        (``None``: no bound).
+        """
+        client = cls(asyncio.new_event_loop(), timeout)
         try:
-            client.server_info = client._request("hello", codec=codec)
-            negotiated = client.server_info.get("codec")
-            if negotiated:
-                client._codec = negotiated
-            if token is not None:
-                client._request("auth", token=token)
+            client._client = client._run(
+                AsyncStreamClient.connect, host, port, token=token, codec=codec
+            )
+            client.server_info = client._client.server_info
         except BaseException:
-            client.close()  # a refused codec or token must not leak the socket
+            client._loop.close()
             raise
         return client
 
-    # --------------------------- wire plumbing ------------------------- #
-    def _recv_exact(self, count: int) -> bytes:
-        chunks = []
-        while count:
-            chunk = self._socket.recv(count)
-            if not chunk:
-                raise ConnectionError("connection closed")
-            chunks.append(chunk)
-            count -= len(chunk)
-        return b"".join(chunks)
-
-    def _pump_one(self) -> None:
-        """Read one frame and route it (push → subscription, else response)."""
-        (length,) = _HEADER.unpack(self._recv_exact(_HEADER.size))
-        if length < 1 or length > MAX_FRAME:
-            raise ProtocolError(f"invalid frame length {length}")
-        blob = self._recv_exact(length)
-        body = decode_body(blob[:1], blob[1:])
-        if "push" in body:
-            subscription = self._subscriptions.get(body.get("subscription"))
-            if subscription is not None:
-                subscription._push(body)
-                if body.get("push") == "tail_end":
-                    self._subscriptions.pop(subscription.ident, None)
-            return
-        self._responses[body.get("id")] = body
-
-    def _request(self, op: str, **params) -> Dict:
-        if self._closed:
+    def _run(self, op, *args, **kwargs):
+        """Run the coroutine ``op(*args, **kwargs)`` on the private loop."""
+        if self._loop.is_closed():
             raise ConnectionError("client is closed")
-        request_id = self._next_id
-        self._next_id += 1
-        body = {"id": request_id, "op": op}
-        body.update({key: value for key, value in params.items() if value is not None})
-        self._socket.sendall(encode_frame(body, self._codec))
-        while request_id not in self._responses:
-            self._pump_one()
-        response = self._responses.pop(request_id)
-        if not response.get("ok"):
-            raise ServerError.from_body(response.get("error", {}))
-        return response
+        if asyncio._get_running_loop() is not None:
+            raise RuntimeError(
+                "StreamClient blocks its thread; inside a running event loop "
+                "use AsyncStreamClient"
+            )
+        try:
+            return self._loop.run_until_complete(
+                asyncio.wait_for(op(*args, **kwargs), self._timeout)
+            )
+        except asyncio.TimeoutError:
+            raise TimeoutError(f"no answer within {self._timeout} s") from None
 
-    # ------------------------------- ops ------------------------------- #
-    def ping(self) -> None:
-        self._request("ping")
-
-    def ingest(self, stream: str, times, values, *, retry: bool = True) -> int:
-        times = np.asarray(times, dtype=float)
-        values = np.asarray(values, dtype=float)
-        while True:
-            try:
-                result = self._request(
-                    "ingest", stream=stream, times=times, values=values
-                )
-                return int(result["accepted"])
-            except ServerError as error:
-                if not retry or error.code not in _RETRY_CODES:
-                    raise
-                time.sleep(error.retry_after or _DEFAULT_RETRY_AFTER)
-
-    def sync(self, stream: str) -> int:
-        return int(self._request("sync", stream=stream)["points"])
-
-    def seal(self, stream: str) -> int:
-        return int(self._request("seal", stream=stream)["recordings"])
-
-    def streams(self) -> List[str]:
-        return list(self._request("streams")["streams"])
-
-    def describe(self, stream: str) -> Dict:
-        return self._request("describe", stream=stream)
-
-    def read(
-        self, stream: str, start: Optional[float] = None, end: Optional[float] = None
-    ) -> List[Recording]:
-        result = self._request("read", stream=stream, start=start, end=end)
-        return recordings_from_wire(result)
-
-    def aggregate(
-        self,
-        stream: str,
-        start: Optional[float] = None,
-        end: Optional[float] = None,
-        *,
-        window: Optional[float] = None,
-        step: Optional[float] = None,
-        dimension: int = 0,
-    ) -> Union[RangeAggregate, List[RangeAggregate]]:
-        result = self._request(
-            "aggregate", stream=stream, start=start, end=end,
-            window=window, step=step, dimension=dimension or None,
-        )
-        return _aggregate_result(result)
-
-    def resample(
-        self,
-        stream: str,
-        step: float,
-        start: Optional[float] = None,
-        end: Optional[float] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        result = self._request(
-            "resample", stream=stream, step=step, start=start, end=end
-        )
-        return _resample_result(result)
-
-    def zoom(
-        self,
-        stream: str,
-        start: Optional[float] = None,
-        end: Optional[float] = None,
-        *,
-        max_points: Optional[int] = None,
-        dimension: int = 0,
-    ) -> List[ZoomCell]:
-        result = self._request(
-            "zoom", stream=stream, start=start, end=end,
-            max_points=max_points, dimension=dimension or None,
-        )
-        return zoom_cells_from_wire(result["cells"])
-
-    def crossings(
-        self,
-        stream: str,
-        threshold: float,
-        start: Optional[float] = None,
-        end: Optional[float] = None,
-        *,
-        dimension: int = 0,
-    ) -> List[float]:
-        result = self._request(
-            "crossings", stream=stream, threshold=threshold,
-            start=start, end=end, dimension=dimension or None,
-        )
-        return [float(value) for value in result["times"]]
+    _request = _blocking(AsyncStreamClient._request)
+    ping = _blocking(AsyncStreamClient.ping)
+    ingest = _blocking(AsyncStreamClient.ingest)
+    sync = _blocking(AsyncStreamClient.sync)
+    seal = _blocking(AsyncStreamClient.seal)
+    streams = _blocking(AsyncStreamClient.streams)
+    describe = _blocking(AsyncStreamClient.describe)
+    read = _blocking(AsyncStreamClient.read)
+    aggregate = _blocking(AsyncStreamClient.aggregate)
+    resample = _blocking(AsyncStreamClient.resample)
+    zoom = _blocking(AsyncStreamClient.zoom)
+    crossings = _blocking(AsyncStreamClient.crossings)
+    stats = _blocking(AsyncStreamClient.stats)
 
     def subscribe(self, stream: str) -> SyncTailSubscription:
-        result = self._request("subscribe", stream=stream)
-        ident = int(result["subscription"])
-        subscription = SyncTailSubscription(self, ident, stream)
-        self._subscriptions[ident] = subscription
-        return subscription
-
-    def stats(self) -> Dict:
-        return self._request("stats")
+        """Start a live tail; iterate the returned subscription."""
+        return SyncTailSubscription(self, self._run(self._client.subscribe, stream))
 
     def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            try:
-                self._socket.close()
-            except OSError:  # pragma: no cover - platform-specific teardown
-                pass
+        """Close the connection, then the loop.  Idempotent."""
+        if not self._loop.is_closed():
+            self._run(self._client.close)
+            self._loop.close()
 
     def __enter__(self) -> "StreamClient":
         return self

@@ -71,9 +71,12 @@ Per op (request parameters → answer fields; ``?`` marks an optional one):
 * ``crossings``: ``stream``, ``threshold``, ``start?``, ``end?``,
   ``dimension?`` → ``times`` array (n,).
 * ``subscribe``: ``stream`` → ``subscription``; ``unsubscribe``:
-  ``subscription``.  Each ``tail`` push carries ``subscription``,
+  ``subscription``.  The server answers ``unsubscribe``, then pushes the
+  events still queued for it and ``tail_end`` with reason
+  ``unsubscribed``.  Each ``tail`` push carries ``subscription``,
   ``stream``, ``seq``, ``sealed`` and the new recordings as the three
-  ``read`` columns; the final ``tail_end`` push carries ``reason``.
+  ``read`` columns; the final ``tail_end`` push carries ``reason``:
+  ``sealed``, ``evicted``, ``unsubscribed`` or ``shutdown``.
 """
 
 from __future__ import annotations

@@ -28,7 +28,8 @@ every chunk, so readers and the other streams' drains take turns with it.
 The server owns the store's writer lock for its lifetime (taken by the
 session's writer-mode store on open) and shuts down gracefully: stop
 accepting, drain every ingest queue, flush buffered sinks, write a final
-checkpoint of the live filter states, close.
+checkpoint of the live filter states, close, and end every tail with
+``tail_end``.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import logging
 import types
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Optional, Set, Union
+from typing import Dict, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -72,6 +73,11 @@ DEFAULT_INGEST_QUEUE = 32
 #: Suggested client back-off when an ingest queue is full.  The queue turns
 #: over as fast as the filter runs a chunk, so the wait is short.
 _THROTTLE_RETRY = 0.05
+
+#: Seconds graceful shutdown gives the tail pumps to deliver their last
+#: events and ``tail_end``; a subscriber that stopped reading cannot stall
+#: shutdown longer than this.
+_SHUTDOWN_GRACE = 1.0
 
 
 class _RequestError(ReproError):
@@ -134,7 +140,8 @@ class _Connection:
     ident: int
     codec: str = CODEC_JSON
     grants: Optional[tuple] = None
-    subscriptions: Dict[int, "asyncio.Task"] = field(default_factory=dict)
+    #: Each tail's pump task and hub subscription, by subscription ident.
+    subscriptions: Dict[int, Tuple["asyncio.Task", Subscription]] = field(default_factory=dict)
     #: Streams this connection sent points to: its rate-limiter keys.
     ingested: Set[str] = field(default_factory=set)
     write_lock: "asyncio.Lock" = field(default_factory=asyncio.Lock)
@@ -256,7 +263,9 @@ class StreamDBServer:
         lose nothing that was acknowledged), buffered sinks are flushed,
         and — with ``checkpoint_dir`` configured — every live filter state
         is checkpointed and detached so a restart resumes bit-identically;
-        without it, live streams seal.
+        without it, live streams seal.  Every tail then ends with
+        ``tail_end``: ``sealed`` for a stream the close sealed, ``shutdown``
+        for the rest, after the events still queued for it.
         """
         if self._closed:
             return
@@ -271,13 +280,23 @@ class StreamDBServer:
             self._db.snapshot(self._checkpoint_dir)
             for stream in self._db.live_streams():
                 self._db.detach(stream)
-        self._db.remove_recording_listener(self._on_recordings)
         if self._close_db:
-            self._db.close()
+            self._db.close()  # seals the live streams: subscribers see it
+        self._db.remove_recording_listener(self._on_recordings)
         if self._hub is not None:
+            # The hub publishes through call_soon_threadsafe: one turn of
+            # the loop lands the seals before the subscriptions close.
+            await asyncio.sleep(0)
             self._hub.close()
+        pumps = [
+            task
+            for connection in self._connections
+            for task, _ in connection.subscriptions.values()
+        ]
+        if pumps:
+            await asyncio.wait(pumps, timeout=_SHUTDOWN_GRACE)
         for connection in list(self._connections):
-            for task in list(connection.subscriptions.values()):
+            for task, _ in list(connection.subscriptions.values()):
                 task.cancel()
             connection.writer.close()
 
@@ -352,7 +371,7 @@ class StreamDBServer:
             pass
         finally:
             self._connections.discard(connection)
-            for task in list(connection.subscriptions.values()):
+            for task, _ in list(connection.subscriptions.values()):
                 task.cancel()
             self._limiter.forget(
                 (connection.ident, stream) for stream in connection.ingested
@@ -641,17 +660,18 @@ class StreamDBServer:
         subscription = self._hub.subscribe(stream)
         ident = connection.next_subscription
         connection.next_subscription += 1
-        connection.subscriptions[ident] = self._loop.create_task(
-            self._pump_subscription(connection, ident, subscription)
-        )
+        task = self._loop.create_task(self._pump_subscription(connection, ident, subscription))
+        connection.subscriptions[ident] = (task, subscription)
         return {"subscription": ident}
 
     async def _op_unsubscribe(self, connection: _Connection, request: Dict) -> Dict:
         ident = _integer(request, "subscription", 0)
-        task = connection.subscriptions.get(ident)
-        if task is None:
+        entry = connection.subscriptions.get(ident)
+        if entry is None:
             raise _RequestError("bad_request", f"unknown subscription {ident!r}")
-        task.cancel()
+        # Closing the hub subscription lets its pump deliver what is queued
+        # and end the tail with tail_end; cancelling is for teardown only.
+        self._hub.unsubscribe(entry[1])
         return {}
 
     async def _op_stats(self, connection: _Connection, request: Dict) -> Dict:

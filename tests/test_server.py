@@ -11,6 +11,7 @@ produces from the same points.
 from __future__ import annotations
 
 import asyncio
+import inspect
 import os
 import signal
 import socket
@@ -484,6 +485,102 @@ class TestTail:
         assert drained == []  # pending events are dropped on eviction
         assert remaining == 0
 
+    def test_async_unsubscribe_ends_the_tail(self, tmp_path):
+        times, values = make_workload(seed=33, length=1000)
+
+        async def run():
+            db = repro.open(tmp_path / "store", filter=FILTER)
+            async with StreamDBServer(db, port=0) as server:
+                client = await AsyncStreamClient.connect("127.0.0.1", server.port)
+                subscription = await client.subscribe("sensor")
+                await client.ingest("sensor", times, values)
+                await client.sync("sensor")
+                await subscription.unsubscribe()
+                events = await tail_events(subscription)
+                await client.seal("sensor")  # the ended tail sees nothing more
+                after_seal = await tail_events(subscription)
+                stats = await client.stats()
+                await client.close()
+                return events, subscription.end_reason, after_seal, stats
+
+        events, reason, after_seal, stats = asyncio.run(run())
+        assert reason == "unsubscribed"
+        assert events and not any(event.sealed for event in events)
+        assert [event.seq for event in events] == list(range(len(events)))
+        assert after_seal == []
+        assert stats["subscriptions"] == 0
+
+    def test_sync_unsubscribe_ends_the_tail(self, tmp_path):
+        times, values = make_workload(seed=34, length=1000)
+        with ServerHarness(tmp_path / "store") as harness:
+            with harness.connect(timeout=5) as client:
+                subscription = client.subscribe("sensor")
+                client.ingest("sensor", times, values)
+                client.sync("sensor")
+                subscription.unsubscribe()
+                events = list(subscription)
+                assert subscription.end_reason == "unsubscribed"
+                client.seal("sensor")
+                assert next(subscription, None) is None
+                assert client.stats()["subscriptions"] == 0
+        assert events and not any(event.sealed for event in events)
+        assert [event.seq for event in events] == list(range(len(events)))
+
+    def test_shutdown_seals_live_tails(self, tmp_path):
+        """Closing the session seals the live stream, and its tail says so."""
+        times, values = make_workload(seed=35, length=2000)
+
+        async def run():
+            db = repro.open(tmp_path / "store", filter=FILTER)
+            server = await StreamDBServer(db, port=0).start()
+            client = await AsyncStreamClient.connect("127.0.0.1", server.port)
+            try:
+                subscription = await client.subscribe("sensor")
+                await client.ingest("sensor", times, values)
+                await client.sync("sensor")
+                await server.aclose()
+                return await tail_events(subscription), subscription.end_reason
+            finally:
+                await client.close()
+
+        events, reason = asyncio.run(run())
+        assert reason == "sealed"
+        assert [event.sealed for event in events] == [False] * (len(events) - 1) + [True]
+        assert [event.seq for event in events] == list(range(len(events)))
+        tailed = [record for event in events for record in event.recordings]
+        with repro.open(tmp_path / "store", mode="r") as db:
+            assert_recordings_identical(tailed, db.read("sensor"))
+        assert_recordings_identical(tailed, reference_recordings(tmp_path / "ref", times, values))
+
+    def test_shutdown_with_checkpoint_ends_tails(self, tmp_path):
+        """Live streams detach unsealed; their tails end with ``shutdown``."""
+        times, values = make_workload(seed=36, length=2000)
+        harness = ServerHarness(tmp_path / "store", checkpoint_dir=tmp_path / "ckpt")
+        with harness:
+            client = harness.connect(timeout=5)
+            subscription = client.subscribe("sensor")
+            client.ingest("sensor", times, values)
+            client.sync("sensor")
+        try:  # the server is gone; the client has read nothing since sync
+            events = list(subscription)
+            assert subscription.end_reason == "shutdown"
+            with pytest.raises(ConnectionError):
+                client.ping()
+        finally:
+            client.close()
+        assert events and not any(event.sealed for event in events)
+        assert [event.seq for event in events] == list(range(len(events)))
+        assert any((tmp_path / "ckpt").glob("*.ckpt"))
+
+
+async def tail_events(subscription, seconds=5.0):
+    """Every event left on an async tail; fails if it does not end in time."""
+
+    async def collect():
+        return [event async for event in subscription]
+
+    return await asyncio.wait_for(collect(), seconds)
+
 
 # --------------------------------------------------------------------------- #
 # Backpressure, auth, rate limiting
@@ -715,6 +812,92 @@ class TestLoopServing:
         assert_recordings_identical(tailed, stored)
         expected = reference_recordings(tmp_path / "ref", times, values)
         assert_recordings_identical(tailed, expected)
+
+
+# --------------------------------------------------------------------------- #
+# The blocking client runs the async one on a private loop
+# --------------------------------------------------------------------------- #
+class TestBlockingClient:
+    def test_ops_match_the_async_client(self):
+        ops = {
+            name: op
+            for name, op in inspect.getmembers(AsyncStreamClient, inspect.iscoroutinefunction)
+            if not name.startswith("_") and name not in ("connect", "close")
+        }
+        assert len(ops) == 13
+        for name, op in ops.items():
+            blocking = getattr(StreamClient, name, None)
+            assert blocking is not None, name
+            assert inspect.signature(blocking).parameters == inspect.signature(op).parameters, name
+
+    def test_connect_to_a_silent_server_times_out(self):
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            release = threading.Event()
+
+            def hold():  # accept and never answer; hang up after 5 s at most
+                connection, _ = listener.accept()
+                with connection:
+                    release.wait(5)
+
+            holder = threading.Thread(target=hold, daemon=True)
+            holder.start()
+            began = time.perf_counter()
+            try:
+                with pytest.raises(TimeoutError):
+                    repro.client.connect("127.0.0.1", listener.getsockname()[1], timeout=0.5)
+            finally:
+                release.set()
+            assert time.perf_counter() - began < 2.0
+            holder.join(timeout=10)
+            assert not holder.is_alive()
+
+    def test_a_timed_out_call_leaves_the_connection_usable(self):
+        """A late answer is dropped; the next call gets its own."""
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+
+            def answer():  # hello at once, the first ping late, the second at once
+                connection, _ = listener.accept()
+                with connection, connection.makefile("rb") as frames:
+                    for delay in (0.0, 1.0, 0.0):
+                        (length,) = struct.unpack(">I", frames.read(4))
+                        blob = frames.read(length)
+                        request = decode_body(blob[:1], blob[1:])
+                        time.sleep(delay)
+                        connection.sendall(encode_frame({"id": request["id"], "ok": True}, CODEC_JSON))
+
+            server = threading.Thread(target=answer, daemon=True)
+            server.start()
+            port = listener.getsockname()[1]
+            with repro.client.connect("127.0.0.1", port, codec=None, timeout=0.5) as client:
+                with pytest.raises(TimeoutError):
+                    client.ping()
+                assert client._client._pending == {}
+                time.sleep(1.0)  # the late answer arrives while nothing reads
+                client.ping()
+            server.join(timeout=10)
+            assert not server.is_alive()
+
+    def test_calls_after_close_raise_connection_error(self, tmp_path):
+        with ServerHarness(tmp_path / "store") as harness:
+            client = harness.connect()
+            subscription = client.subscribe("sensor")
+            client.close()
+            client.close()  # idempotent
+            with pytest.raises(ConnectionError):
+                client.ping()
+            with pytest.raises(ConnectionError):
+                next(subscription)
+
+    def test_blocking_inside_a_running_loop_is_refused(self, tmp_path):
+        with ServerHarness(tmp_path / "store") as harness:
+            with harness.connect() as client:
+
+                async def inside():
+                    with pytest.raises(RuntimeError, match="AsyncStreamClient"):
+                        client.ping()
+
+                asyncio.run(inside())
+                client.ping()  # fine again outside the loop
 
 
 # --------------------------------------------------------------------------- #
