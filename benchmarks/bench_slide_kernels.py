@@ -1,18 +1,19 @@
-"""Slide kernel benchmark: array-native batch path vs the per-point loop.
+"""Slide kernel benchmark: the float-native batch path vs the per-point loop.
 
 The slide filter is the paper's flagship contribution, and historically the
 one hot path batch ingestion barely helped (~1-2x).  This benchmark pins the
-speedup of the array-native kernels (PR 4): the event-driven
-``process_batch`` with its float-native scalar core, deferred bulk convex
-hull insertion (:meth:`IncrementalConvexHull.add_many`) and O(log m_H)
-tangent binary searches, against the per-point ``feed()`` reference.
+speedup of ``process_batch``, whose float-native core runs the per-point
+arithmetic on Python floats over the list-backed convex hull with O(log m_H)
+tangent binary searches, against the per-point ``feed()`` reference, which
+pays for a ``DataPoint``, validation and the ``Line``-returning searches on
+every point.
 
 Workloads (200k points each by default):
 
 * **smooth** — a drifting trend plus a slow seasonal component with sensor
   noise well inside the precision width (ε = 5 % of range ≈ 10σ): the
   filter's designed-for regime, long filtering intervals, mostly silent
-  points absorbed in vectorized bulk.  Floor: ≥ 8x.
+  points.  Floor: ≥ 4x.
 * **noisy** — the throughput benchmark's random walk at ε = 10 % of range
   (top of the paper's 1-10 % sweep): the intervals are still long, but
   frequent bound-update events exercise the scalar core and tangent
@@ -25,8 +26,7 @@ Workloads (200k points each by default):
   progress: the table reports absolute µs per point too.  No floor.
 
 Every run asserts bit-identical recordings between ``feed()`` and the batch
-path.  A hull microbenchmark also pins ``add_many`` against the per-point
-``add`` loop on 100k points (floor: ≥ 5x, identical chains).
+path.
 
 The floors are waived automatically on starved runners (fewer than 2 CPUs
 available — a preempted single-core container measures the scheduler, not
@@ -50,12 +50,10 @@ import numpy as np
 from repro.core.epsilon import epsilon_from_percent
 from repro.core.slide import SlideFilter
 from repro.data.random_walk import RandomWalkConfig, random_walk
-from repro.geometry.hull import IncrementalConvexHull
 
 from bench_utils import write_bench_json
 
-#: Chunk size of the batch runs (the pipeline default is 4096; larger chunks
-#: amortize the probe windows better on long silent stretches).
+#: Chunk size of the batch runs (the pipeline default is 4096).
 CHUNK_SIZE = 16384
 
 
@@ -133,47 +131,15 @@ def run_pair(times, values, epsilon, chunk_size: int):
     return per_point_elapsed, batch_elapsed, batch.recording_count
 
 
-def run_hull_microbench(points: int, seed: int = 3):
-    """Per-point ``add`` loop vs one ``add_many`` on a random-walk signal."""
-    rng = np.random.default_rng(seed)
-    times = np.cumsum(rng.uniform(0.5, 1.5, points))
-    values = np.cumsum(rng.normal(0.0, 0.3, points))
-
-    scalar_hull = IncrementalConvexHull()
-    add = scalar_hull.add
-    time_list = times.tolist()
-    value_list = values.tolist()
-    started = time.perf_counter()
-    for index in range(points):
-        add(time_list[index], value_list[index])
-    scalar_elapsed = time.perf_counter() - started
-
-    bulk_hull = IncrementalConvexHull()
-    started = time.perf_counter()
-    bulk_hull.add_many(times, values)
-    bulk_hull.vertex_count  # force the deferred merge so it is timed
-    bulk_elapsed = time.perf_counter() - started
-
-    if scalar_hull.vertices() != bulk_hull.vertices():
-        raise AssertionError("add_many produced different hull vertices than add()")
-    return scalar_elapsed, bulk_elapsed, bulk_hull.vertex_count
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--points", type=int, default=200_000, help="workload size")
     parser.add_argument("--chunk-size", type=int, default=CHUNK_SIZE)
     parser.add_argument(
-        "--hull-points", type=int, default=100_000, help="hull microbenchmark size"
-    )
-    parser.add_argument(
-        "--smooth-floor", type=float, default=8.0, help="minimum smooth-signal speedup"
+        "--smooth-floor", type=float, default=4.0, help="minimum smooth-signal speedup"
     )
     parser.add_argument(
         "--noisy-floor", type=float, default=4.0, help="minimum noisy-signal speedup"
-    )
-    parser.add_argument(
-        "--hull-floor", type=float, default=5.0, help="minimum add_many speedup"
     )
     parser.add_argument(
         "--no-assert", action="store_true", help="report without asserting the floors"
@@ -213,21 +179,6 @@ def main(argv=None) -> int:
         )
     print("recordings bit-identical across per-point and batch paths: yes")
 
-    scalar, bulk, vertex_count = run_hull_microbench(args.hull_points)
-    hull_speedup = scalar / bulk
-    metrics["hull_add_many"] = {
-        "points": args.hull_points,
-        "per_point_seconds": scalar,
-        "bulk_seconds": bulk,
-        "speedup": hull_speedup,
-        "vertex_count": vertex_count,
-    }
-    print(
-        f"\nhull add_many on {args.hull_points:,} points: "
-        f"{scalar * 1e3:.1f} ms per-point vs {bulk * 1e3:.1f} ms bulk "
-        f"({hull_speedup:.0f}x, {vertex_count} vertices, identical chains)"
-    )
-
     path = write_bench_json("slide_kernels", metrics)
     print(f"results written to {path}")
 
@@ -244,12 +195,6 @@ def main(argv=None) -> int:
         if speedups[name] < floor:
             print(f"FAIL: {name} speedup {speedups[name]:.1f}x below the {floor:.1f}x floor")
             failed = True
-    if hull_speedup < args.hull_floor:
-        print(
-            f"FAIL: hull add_many speedup {hull_speedup:.1f}x below the "
-            f"{args.hull_floor:.1f}x floor"
-        )
-        failed = True
     return 1 if failed else 0
 
 

@@ -98,6 +98,8 @@ class StreamFilter(abc.ABC):
             raise ValueError("max_lag must be at least 2 data points")
         self._epsilon_spec = epsilon
         self._epsilon: Optional[ErrorBound] = None
+        #: The resolved ε vector as Python floats (derived from ``_epsilon``).
+        self._eps: Optional[List[float]] = None
         self.max_lag = max_lag
         self._dimensions: Optional[int] = None
         self._last_time: Optional[float] = None
@@ -170,12 +172,12 @@ class StreamFilter(abc.ABC):
     def process_batch(self, times, values) -> List[Recording]:
         """Process a chunk of points at once and return the emitted recordings.
 
-        This is the vectorized fast path every chunk written through
+        This is the fast path every chunk written through
         :meth:`repro.api.session.StreamDB.append` takes.  It is behaviourally
         equivalent to feeding every point through :meth:`feed` in order —
         filters that override :meth:`_process_batch` guarantee *identical*
         recordings — but amortizes validation, ε resolution and (for the
-        filters that vectorize their inner loop) the per-point work over the
+        filters with a chunk-wide inner loop) the per-point work over the
         whole chunk.
 
         Args:
@@ -340,6 +342,7 @@ class StreamFilter(abc.ABC):
             setattr(self, name, copy.deepcopy(state.base[name]))
         for name in self._STATE_FIELDS:
             setattr(self, name, copy.deepcopy(state.payload[name]))
+        self._eps = None
         self._recording_count = 0
         self._pending = []
         self._state_restored()
@@ -362,9 +365,8 @@ class StreamFilter(abc.ABC):
     def _state_restored(self) -> None:
         """Hook invoked after :meth:`restore` has replaced every state field.
 
-        Subclasses that maintain derived caches outside ``_STATE_FIELDS``
-        (e.g. the slide filter's bound-coefficient arrays) drop or rebuild
-        them here; the default does nothing.
+        Subclasses that keep state in another layout than older snapshots
+        did convert it here; the default does nothing.
         """
 
     # ------------------------------------------------------------------ #
@@ -378,7 +380,7 @@ class StreamFilter(abc.ABC):
         """Process one validated chunk (``times`` 1-D, ``values`` 2-D).
 
         The default implementation falls back to the per-point hook.  Filters
-        with a vectorized inner loop override this; overrides MUST produce
+        with a faster inner loop override this; overrides MUST produce
         exactly the recordings the per-point path would produce, so callers
         may mix :meth:`feed` and :meth:`process_batch` freely.
         """
@@ -413,6 +415,12 @@ class StreamFilter(abc.ABC):
         if self._epsilon is None:
             raise FilterStateError("epsilon is not resolved before the first data point")
         return self._epsilon.epsilons
+
+    def _epsilon_list(self) -> List[float]:
+        """The resolved ε vector as Python floats (only valid after the first point)."""
+        if self._eps is None:
+            self._eps = self._epsilon_array().tolist()
+        return self._eps
 
     # ------------------------------------------------------------------ #
     # Internal validation

@@ -52,19 +52,6 @@ __all__ = ["SlideFilter"]
 #: Relative slack used when verifying a connection against buffered points.
 _VALIDATION_SLACK = 1e-9
 
-#: Initial lookahead (in points) of the batch probe; doubled while no event
-#: is found, reset after each event.
-_INITIAL_WINDOW = 64
-
-#: A probe that finds its event within this many points drops to the
-#: float-native scalar core, and the core returns to vectorized probing
-#: after this many consecutive silent points.  A probe costs ~10
-#: numpy dispatches regardless of the run length, so short runs are cheaper
-#: to walk in scalar code; silent stretches beyond the break-even length
-#: amortize the probe and are bulk-absorbed.
-_SCALAR_ENTER_RUN = 16
-_PROBE_ENTER_STREAK = 16
-
 #: ``np.mean`` sums pairwise from this many elements on; shorter lists are
 #: summed left to right, which :func:`_mean` reproduces exactly.
 _PAIRWISE_MIN = 8
@@ -229,8 +216,6 @@ class SlideFilter(StreamFilter):
         #: needs them).
         self._raw_times: Optional[List[float]] = None
         self._raw_values: Optional[list] = None
-        #: The resolved ε vector as Python floats (derived from ``_epsilon``).
-        self._eps: Optional[List[float]] = None
         # Raw moments for the MSE-optimal slope through an arbitrary pivot
         # (per-dimension sums as lists of floats).
         self._n = 0
@@ -265,8 +250,6 @@ class SlideFilter(StreamFilter):
         self.validate_connections = config["validate_connections"]
 
     def _state_restored(self) -> None:
-        # The ε floats are derived from the ε vector a restore just replaced.
-        self._eps = None
         # Older snapshots hold the moment sums and the previous interval's
         # buffered points as numpy arrays; same values, list layout.
         if isinstance(self._sum_x, np.ndarray):
@@ -279,12 +262,6 @@ class SlideFilter(StreamFilter):
                 times.tolist(),
                 values[:, 0].tolist() if values.shape[1] == 1 else list(values),
             )
-
-    def _epsilon_list(self) -> List[float]:
-        """The resolved ε vector as Python floats (only valid after the first point)."""
-        if self._eps is None:
-            self._eps = self._epsilon_array().tolist()
-        return self._eps
 
     # ------------------------------------------------------------------ #
     # StreamFilter hooks
@@ -311,37 +288,14 @@ class SlideFilter(StreamFilter):
         self._restart_interval(point)
 
     def _process_batch(self, times: np.ndarray, values: np.ndarray) -> None:
-        """Event-driven chunk processing (identical recordings to feed()).
+        """Chunk processing with recordings identical to the feed path.
 
-        Only one-dimensional hull-mode streams take this path; bounded-lag,
-        multi-dimensional and no-hull streams take the base class's per-point
-        step, which the probe below was never faster than for them.
-
-        Per-point Python work only happens at *events*: points that violate a
-        bound or force a bound to slide onto a new support point.  All points
-        in between ("silent" points) are detected with one vectorized probe of
-        a lookahead window against the current bounding lines
-        (:func:`~repro.core.kernels.slide_event_masks_1d`) and absorbed in
-        bulk: their hull insertions run as one vectorized
-        :meth:`IncrementalConvexHull.add_many` (the hull state only depends
-        on the insertion order, which is preserved) and the MSE moments are
-        accumulated with strict left folds matching the per-point addition
-        order bit for bit.
-
-        Bound updates are sequential by nature (each one moves the lines the
-        next acceptance test uses), so stretches where almost every point is
-        an event would pay for a vectorized probe and then discard it.  The
-        loop therefore runs in two modes: *probing* mode scans a
-        geometrically growing lookahead window for the next event and absorbs
-        the silent points in bulk; when a probe finds its event after only a
-        few points it drops into *scalar* mode, the float-native
-        :meth:`_scalar_run_1d` core, which closes and reopens intervals itself
-        and only hands control back at the end of the chunk or to resume
-        probing once a long silent streak suggests bulk absorption will win
-        again.  The branches at the top of the loop open an interval whose
-        first point (or first two points) the chunk supplies: at the start of
-        a stream, after a chunk ended on a violation, and after a violation
-        found by a probe.
+        One-dimensional hull-mode streams run the float-native core
+        :meth:`_scalar_run_1d` over the chunk; bounded-lag,
+        multi-dimensional and no-hull streams take the base class's
+        per-point step.  An interval whose bounds are not open yet (at the
+        start of a stream, or after a chunk that ended on a violation) gets
+        its first or second point from the per-point step too.
         """
         if (
             self.max_lag is not None
@@ -351,61 +305,13 @@ class SlideFilter(StreamFilter):
         ):
             super()._process_batch(times, values)
             return
-        epsilon = self._epsilon_array()
         total = times.shape[0]
         position = 0
-        window = _INITIAL_WINDOW
-        scalar_mode = True
-        time_list = value_list = None
-        while position < total:
-            if self._first_point is None:
-                self._begin_interval(DataPoint(float(times[position]), values[position]))
-                position += 1
-                continue
-            if self._upper is None:
-                point = DataPoint(float(times[position]), values[position])
-                self._open_bounds(self._first_point, point)
-                self._absorb(point)
-                position += 1
-                continue
-            if scalar_mode:
-                if time_list is None:
-                    time_list = times.tolist()
-                    value_list = values[:, 0].tolist()
-                position, probe = self._scalar_run_1d(values, time_list, value_list, position)
-                if probe:
-                    scalar_mode = False
-                    window = _INITIAL_WINDOW
-                continue
-            stop = min(position + window, total)
-            ts = times[position:stop]
-            xs = values[position:stop]
-            upper = self._upper[0]
-            lower = self._lower[0]
-            violates, needs_update = kernels.slide_event_masks_1d(
-                xs[:, 0],
-                ts * upper.slope + upper.intercept,
-                ts * lower.slope + lower.intercept,
-                epsilon[0],
-            )
-            run = kernels.first_true(violates | needs_update)
-            if run > 0:
-                self._absorb_run(ts[:run], xs[:run])
-            if run == len(ts):
-                # No event inside the window: widen the lookahead.
-                position = stop
-                window *= 2
-                continue
-            point = DataPoint(float(ts[run]), xs[run])
-            if violates[run]:
-                self._restart_interval(point)
-            else:
-                self._update_bounds(point)
-                self._absorb(point)
-            position += run + 1
-            window = _INITIAL_WINDOW
-            if run < _SCALAR_ENTER_RUN:
-                scalar_mode = True
+        while position < total and self._upper is None:
+            self._feed_point(DataPoint(float(times[position]), values[position]))
+            position += 1
+        if position < total:
+            self._scalar_run_1d(values, times.tolist(), values[:, 0].tolist(), position)
 
     def _scalar_run_1d(
         self,
@@ -413,7 +319,7 @@ class SlideFilter(StreamFilter):
         time_list: List[float],
         value_list: List[float],
         start: int,
-    ) -> Tuple[int, bool]:
+    ) -> None:
         """Float-native event loop for 1-D hull-mode streams.
 
         Mirrors the per-point path expression for expression — the acceptance
@@ -421,8 +327,7 @@ class SlideFilter(StreamFilter):
         :meth:`_update_bounds`, the moment accumulation of :meth:`_absorb`,
         and at a violation the opening of the next interval that
         :meth:`_begin_interval`, :meth:`_open_bounds` and the second point's
-        :meth:`_absorb` perform — but on plain Python floats, so an
-        event-dense stretch costs interpreter arithmetic instead of the full
+        :meth:`_absorb` perform — but on plain Python floats, without the
         ``DataPoint``/numpy-scalar machinery.  The bounding lines are held as
         slope/intercept floats: a bound update calls the tangent searches'
         float cores (:func:`min_slope_upper_support`,
@@ -439,10 +344,10 @@ class SlideFilter(StreamFilter):
         moments it holds in locals) and the loop carries on with the next
         interval; only when the violating point is the chunk's last does the
         new interval wait, holding just that point, for the next chunk.  The
-        remaining locals are written back once, before returning.
+        remaining locals are written back once, at the end of the chunk.
 
         Requires open bounds, hull mode, one dimension and no bounded-lag
-        state.  Returns ``(next_position, switch_to_probing)``.
+        state.
         """
         eps = self._epsilon_list()[0]
         # The bounds as floats; ``*_line`` is the matching Line, or None once
@@ -473,8 +378,6 @@ class SlideFilter(StreamFilter):
         last_index = -1
         total = len(time_list)
         position = start
-        silent_streak = 0
-        switch = False
         while position < total:
             t = time_list[position]
             x = value_list[position]
@@ -500,7 +403,7 @@ class SlideFilter(StreamFilter):
                     # The chunk ends on the violation: the new interval
                     # holds only this point until the next chunk arrives.
                     self._begin_interval(DataPoint(t, values[first_index]))
-                    return position, False
+                    return
                 # The next interval: bounds through this point and the next,
                 # which is always representable (Algorithm 2 lines 2 / 29).
                 t2 = time_list[position]
@@ -525,10 +428,8 @@ class SlideFilter(StreamFilter):
                 last_index = position
                 end_time = t2
                 position += 1
-                silent_streak = 0
                 continue
             hull_add(t, x)
-            updated = False
             if x > lower_value + eps:
                 slope, intercept = max_slope_lower_support(*hull.lower_chain(), t, x, eps)
                 # The current bound stays only when strictly steeper.
@@ -536,14 +437,12 @@ class SlideFilter(StreamFilter):
                     lower_slope = slope
                     lower_intercept = intercept
                     lower_line = None
-                updated = True
             if x < upper_value - eps:
                 slope, intercept = min_slope_upper_support(*hull.upper_chain(), t, x, eps)
                 if not upper_slope < slope:
                     upper_slope = slope
                     upper_intercept = intercept
                     upper_line = None
-                updated = True
             n += 1
             interval_points += 1
             sum_t += t
@@ -556,13 +455,6 @@ class SlideFilter(StreamFilter):
             last_index = position
             end_time = t
             position += 1
-            if updated:
-                silent_streak = 0
-            else:
-                silent_streak += 1
-                if silent_streak >= _PROBE_ENTER_STREAK and position < total:
-                    switch = True
-                    break
         if upper_line is None:
             upper_line = Line(upper_slope, upper_intercept)
         if lower_line is None:
@@ -580,30 +472,6 @@ class SlideFilter(StreamFilter):
             self._first_point = DataPoint(first_time, values[first_index])
         if last_index >= 0:
             self._last_point = DataPoint(end_time, values[last_index])
-        return position, switch
-
-    def _absorb_run(self, ts: np.ndarray, xs: np.ndarray) -> None:
-        """Bulk equivalent of :meth:`_absorb` for a run of silent points.
-
-        ``xs`` is the run's ``(n, 1)`` value column.  Moments are folded left
-        in per-point order (bit-identical, bounded temporaries) and the hull
-        insertions run as one vectorized
-        :meth:`IncrementalConvexHull.add_many`.
-        """
-        count = ts.shape[0]
-        self._last_point = DataPoint(float(ts[-1]), xs[-1])
-        self._interval_points += count
-        self._n += count
-        self._sum_t, self._sum_tt, sum_x, sum_xt = kernels.fold_left_moment_sums(
-            self._sum_t, self._sum_tt, np.array(self._sum_x), np.array(self._sum_xt), ts, xs
-        )
-        self._sum_x = sum_x.tolist()
-        self._sum_xt = sum_xt.tolist()
-        column = xs[:, 0]
-        if self._raw_times is not None:
-            self._raw_times.extend(ts.tolist())
-            self._raw_values.extend(column.tolist())
-        self._hulls[0].add_many(ts, column)
 
     def _finish_stream(self) -> None:
         if self._locked_lines is not None:
@@ -756,8 +624,8 @@ class SlideFilter(StreamFilter):
         ``first_time`` and ``end_time`` are the times of the interval's first
         and last points; the bounds, moments and buffered points are read
         from the filter state.  Every path that closes an interval — the
-        per-point reference, the batch probes, the 1-D scalar core, the end
-        of the stream and the bounded-lag lock — comes through here, on
+        per-point reference, the 1-D scalar core, the end of the stream and
+        the bounded-lag lock — comes through here, on
         Python floats throughout: one-dimensional streams through
         :meth:`_close_1d`, wider ones through :meth:`_close_lines`.  Returns
         the per-dimension segment lines.

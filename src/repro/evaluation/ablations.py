@@ -47,8 +47,8 @@ class LastPointSwingFilter(SwingFilter):
 
     name = "swing-midslope"
 
-    def _optimal_slope(self) -> np.ndarray:  # noqa: D102 - documented on the class
-        return (self._upper_slope + self._lower_slope) / 2.0
+    def _optimal_slope(self, upper, lower, sum_xt, sum_tt):  # noqa: D102 - documented on the class
+        return (upper + lower) / 2.0
 
 
 @dataclass(frozen=True)

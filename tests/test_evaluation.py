@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from repro.data.random_walk import RandomWalkConfig, random_walk
+from repro.core.epsilon import epsilon_from_percent
+from repro.core.swing import SwingFilter
 from repro.evaluation.ablations import (
+    LastPointSwingFilter,
     connection_ablation,
     max_lag_ablation,
     recording_policy_ablation,
@@ -157,6 +160,32 @@ class TestAblations:
         assert abs(result.recordings_mse - result.recordings_midslope) <= 0.05 * result.recordings_midslope
         assert result.mean_error_mse <= result.mean_error_midslope + 1e-12
         assert result.error_reduction_percent >= 0.0
+
+    @pytest.mark.parametrize("chunk_size", [1, 7, 2000])
+    def test_midslope_batch_records_what_feed_records(self, sst_signal, chunk_size):
+        """The midslope variant's override reaches the batch path too: its
+        ``process_batch`` records its own ``feed()`` bytes, which differ from
+        plain swing's (on this signal and ε, 758 recordings against 760)."""
+        times, values = sst_signal
+        epsilon = epsilon_from_percent(1.0, values)
+
+        def recording_bytes(recordings):
+            return [(r.kind, r.time, r.value.tobytes()) for r in recordings]
+
+        fed = LastPointSwingFilter(epsilon)
+        expected = []
+        for t, v in zip(times, values):
+            expected += fed.feed(t, v)
+        expected = recording_bytes(expected + fed.finish())
+        batch = LastPointSwingFilter(epsilon)
+        recordings = []
+        for start in range(0, len(times), chunk_size):
+            recordings += batch.process_batch(
+                times[start : start + chunk_size], values[start : start + chunk_size]
+            )
+        assert recording_bytes(recordings + batch.finish()) == expected
+        swing = SwingFilter(epsilon)
+        assert recording_bytes(swing.process_batch(times, values) + swing.finish()) != expected
 
     def test_connection_ablation(self, small_walk):
         times, values = small_walk

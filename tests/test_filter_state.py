@@ -353,13 +353,125 @@ class TestArrayHullFixture:
         case = cases[(stream, taken_after)]
         assert case["state"].config["epsilon"] == FIXTURE_EPSILON
         times, values = fixture_stream(stream)
-        resumed = restore_filter(case["state"])
-        rest_t, rest_x = times[FIXTURE_SPLIT:], values[FIXTURE_SPLIT:]
-        if continue_with == "batch":
-            recordings = list(resumed.process_batch(rest_t, rest_x))
+        recordings = continue_stream(
+            case["state"], times[FIXTURE_SPLIT:], values[FIXTURE_SPLIT:], continue_with
+        )
+        assert recordings_sha256(recordings) == case["tail_sha256"]
+
+
+def continue_stream(state, times, values, continue_with):
+    """Restore ``state`` and feed it the rest of its stream through
+    ``process_batch`` or ``feed()``; returns every recording, ``finish()``'s
+    included."""
+    resumed = restore_filter(state)
+    if continue_with == "batch":
+        recordings = list(resumed.process_batch(times, values))
+    else:
+        recordings = []
+        for t, v in zip(times, values):
+            recordings += resumed.feed(t, v)
+    return recordings + resumed.finish()
+
+
+#: Mid-interval swing snapshots pickled by the release whose swing kept its
+#: anchor, bounds, moment sum and locked slope in ``(d,)`` numpy arrays (as
+#: checkpoints written by ``StreamDB.snapshot`` and ``repro serve
+#: --checkpoint`` hold them): for each stream of
+#: :func:`swing_fixture_stream`, split at :data:`FIXTURE_SPLIT` points, one
+#: snapshot taken after ``process_batch`` and one after ``feed()``, each
+#: with the sha256 of that release's uninterrupted recordings from the split
+#: on.
+SWING_FIXTURE = Path(__file__).parent / "fixtures" / "swing_array_states.pkl"
+
+
+def swing_fixture_stream(name: str):
+    """A 1-D walk (ε 0.5), a 3-D walk (ε 2.0), or a slow drift split inside
+    the locked segment of a ``max_lag=8`` swing (ε 0.5)."""
+    if name == "walk-3d":
+        return make_stream(seed=83, dimensions=3)
+    times, values = make_stream(seed=83)
+    if name == "max-lag":
+        values = np.cumsum(np.random.default_rng(83).normal(0.0, 0.05, times.shape[0]))
+    return times, values
+
+
+class TestSwingArrayFixture:
+    """Swing snapshots in the array layout restore to float lists and
+    continue bit-identically through both paths."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        cases = pickle.loads(SWING_FIXTURE.read_bytes())
+        return {(case["stream"], case["path"]): case for case in cases}
+
+    @pytest.mark.parametrize("stream", ["walk-1d", "walk-3d", "max-lag"])
+    @pytest.mark.parametrize("taken_after", ["batch", "feed"])
+    @pytest.mark.parametrize("continue_with", ["batch", "feed"])
+    def test_continues_bit_identically(self, cases, stream, taken_after, continue_with):
+        state = cases[(stream, taken_after)]["state"]
+        payload = state.payload
+        assert isinstance(payload["_anchor_value"], np.ndarray)  # the array layout
+        if stream == "max-lag":
+            assert payload["_locked_slope"] is not None and payload["_interval_points"] > 0
         else:
-            recordings = []
-            for t, v in zip(rest_t, rest_x):
-                recordings += resumed.feed(t, v)
-        recordings += resumed.finish()
+            assert payload["_upper_slope"] is not None and payload["_interval_points"] > 1
+        assert isinstance(restore_filter(state)._anchor_value, list)
+        times, values = swing_fixture_stream(stream)
+        recordings = continue_stream(
+            state, times[FIXTURE_SPLIT:], values[FIXTURE_SPLIT:], continue_with
+        )
+        assert recordings_sha256(recordings) == cases[(stream, taken_after)]["tail_sha256"]
+
+
+#: Mid-interval 1-D slide snapshots pickled by the release whose hull
+#: deferred bulk appends: each hull still holds two pending runs (the
+#: ``_pending_t``/``_pending_x`` array lists beside its list chains).  For
+#: each stream of :func:`slide_pending_stream`, one snapshot taken after
+#: ``process_batch`` over the first ``split`` points, with the sha256 of
+#: that release's uninterrupted recordings from the split on.
+SLIDE_PENDING_FIXTURE = Path(__file__).parent / "fixtures" / "slide_pending_hull_states.pkl"
+
+
+def slide_pending_stream(name: str):
+    """A slow drift (split at 725) or a noisy slope (split at 815), ε 0.5."""
+    times, _ = make_stream(seed=83)
+    if name == "drift":
+        return times, np.cumsum(np.random.default_rng(83).normal(0.0, 0.05, times.shape[0]))
+    return times, 0.05 * times + np.random.default_rng(31).normal(0.0, 0.1, times.shape[0])
+
+
+class TestSlidePendingHullFixture:
+    """``IncrementalConvexHull.__setstate__`` pushes the pending runs into
+    the chains; without it the runs' points are lost from the hull."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        raw = SLIDE_PENDING_FIXTURE.read_bytes()
+        assert b"_pending_t" in raw  # the deferred layout, not today's
+        return {case["stream"]: case for case in pickle.loads(raw)}
+
+    @pytest.mark.parametrize("stream", ["drift", "slope"])
+    def test_restored_chains_hold_every_interval_point(self, cases, stream):
+        """The chains equal those of a hull built point by point from the
+        open interval's points; a pending point dropped or pushed out of
+        order shows here even where the recordings happen not to change."""
+        case = cases[stream]
+        payload = case["state"].payload
+        times, values = slide_pending_stream(stream)
+        interval = slice(int(np.searchsorted(times, payload["_first_point"].time)), case["split"])
+        reference = IncrementalConvexHull(zip(times[interval].tolist(), values[interval].tolist()))
+        hull = payload["_hulls"][0]
+        assert hull.upper_chain() == reference.upper_chain()
+        assert hull.lower_chain() == reference.lower_chain()
+
+    @pytest.mark.parametrize("stream", ["drift", "slope"])
+    @pytest.mark.parametrize("continue_with", ["batch", "feed"])
+    def test_continues_bit_identically(self, cases, stream, continue_with):
+        case = cases[stream]
+        hull = case["state"].payload["_hulls"][0]
+        assert not hasattr(hull, "_pending_t")
+        assert len(hull) == case["state"].payload["_interval_points"]
+        times, values = slide_pending_stream(stream)
+        split = case["split"]
+        recordings = continue_stream(case["state"], times[split:], values[split:], continue_with)
         assert recordings_sha256(recordings) == case["tail_sha256"]

@@ -1,25 +1,24 @@
-"""Property/fuzz suites for the shared array kernels and the slide fast path.
+"""Property/fuzz suites for the float stand-ins and the filters' batch paths.
 
 Three layers are pinned here:
 
-1. the kernels in :mod:`repro.core.kernels` compute exactly the scalar
-   expressions they document (bitwise — no reassociation, no pairwise sums),
-2. the array-native convex hull (:meth:`IncrementalConvexHull.add_many`) and
-   the chain tangent binary searches agree exactly with their per-point /
-   linear-scan references, and
+1. the ``np.clip`` stand-ins in :mod:`repro.core.kernels` and slide's
+   connection check compute exactly the expressions they document,
+2. the chain tangent binary searches agree exactly with their linear-scan
+   references, and
 3. the filters' batch paths emit recordings bit-identical to per-point
    ``feed()`` and to the legacy per-point batch driver, across random
    signals x {connect_segments on/off, 1-dim/multi-dim, max_lag fallback,
    use_convex_hull on/off}, and for swing and slide across signed-zero and
    subnormal streams that tie candidate slopes, with snapshots restored
-   between chunks.
+   between chunks.  Swing's float step is checked there against
+   :class:`NumpySwing`, the numpy per-point step it replaced.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 import pickle
 
 import numpy as np
@@ -30,7 +29,8 @@ from repro.core import kernels
 from repro.core.base import StreamFilter
 from repro.core.slide import _VALIDATION_SLACK, SlideFilter
 from repro.core.swing import SwingFilter
-from repro.geometry.hull import _SCALAR_MERGE_LIMIT, IncrementalConvexHull
+from repro.core.types import RecordingKind
+from repro.geometry.hull import IncrementalConvexHull
 from repro.geometry.lines import Line
 from repro.geometry.tangents import (
     max_slope_lower_line,
@@ -51,96 +51,8 @@ def make_signal(seed: int, length: int, dimensions: int = 1, noise: float = 0.6)
 
 
 # --------------------------------------------------------------------------- #
-# Arithmetic kernels
+# Float stand-ins
 # --------------------------------------------------------------------------- #
-class TestFoldKernels:
-    @pytest.mark.parametrize("length", [0, 1, 7, 300, kernels.FOLD_BLOCK + 37])
-    def test_fold_left_sum_matches_scalar_loop(self, length):
-        rng = np.random.default_rng(length)
-        values = rng.normal(0.0, 1e6, length) * rng.uniform(1e-8, 1e8, length)
-        total = 0.125
-        for v in values.tolist():
-            total += v
-        assert kernels.fold_left_sum(0.125, values) == total
-
-    @pytest.mark.parametrize("length", [0, 1, 9, kernels.FOLD_BLOCK + 11])
-    @pytest.mark.parametrize("dims", [1, 3])
-    def test_fold_left_sum_rows_matches_scalar_loop(self, length, dims):
-        rng = np.random.default_rng(length * 7 + dims)
-        rows = rng.normal(0.0, 100.0, (length, dims))
-        initial = rng.normal(0.0, 1.0, dims)
-        expected = initial.copy()
-        for row in rows:
-            expected = expected + row
-        result = kernels.fold_left_sum_rows(initial, rows)
-        assert np.array_equal(result, expected)
-        # The initial accumulator must never be mutated.
-        assert not np.shares_memory(result, initial)
-
-    @pytest.mark.parametrize("length", [1, 50, kernels.FOLD_BLOCK + 3])
-    @pytest.mark.parametrize("dims", [1, 2])
-    def test_fold_left_moment_sums_matches_per_point_updates(self, length, dims):
-        rng = np.random.default_rng(length + dims)
-        ts = np.cumsum(rng.uniform(0.1, 2.0, length))
-        xs = rng.normal(0.0, 5.0, (length, dims))
-        sum_t, sum_tt = 3.25, 11.5
-        sum_x = rng.normal(0.0, 1.0, dims)
-        sum_xt = rng.normal(0.0, 1.0, dims)
-        expected_t, expected_tt = sum_t, sum_tt
-        expected_x, expected_xt = sum_x.copy(), sum_xt.copy()
-        for t, x in zip(ts.tolist(), xs):
-            expected_t += t
-            expected_tt += t * t
-            expected_x = expected_x + x
-            expected_xt = expected_xt + x * t
-        got_t, got_tt, got_x, got_xt = kernels.fold_left_moment_sums(
-            sum_t, sum_tt, sum_x, sum_xt, ts, xs
-        )
-        assert got_t == expected_t
-        assert got_tt == expected_tt
-        assert np.array_equal(got_x, expected_x)
-        assert np.array_equal(got_xt, expected_xt)
-
-
-class TestLineKernels:
-    def test_event_masks_match_scalar_conditions(self):
-        rng = np.random.default_rng(6)
-        ts = np.cumsum(rng.uniform(0.1, 1.0, 128))
-        cases = [
-            (rng.normal(), rng.normal(), 0.3, 2.0, epsilon) for epsilon in (0.5, 1.25)
-        ] + [(0.2, 1.0, 0.1, 2.0, 0.75)]
-        for up_s, up_i, slope_gap, intercept_gap, epsilon in cases:
-            xs = rng.normal(0.0, 3.0, 128)
-            lo_s, lo_i = up_s - slope_gap, up_i - intercept_gap
-            upper_values = ts * up_s + up_i
-            lower_values = ts * lo_s + lo_i
-            violates, needs = kernels.slide_event_masks_1d(
-                xs, upper_values, lower_values, epsilon
-            )
-            assert violates.any() and needs.any()
-            for k, (t, x) in enumerate(zip(ts.tolist(), xs.tolist())):
-                upper = Line(up_s, up_i).value_at(t)
-                lower = Line(lo_s, lo_i).value_at(t)
-                assert bool(violates[k]) == (x > upper + epsilon or x < lower - epsilon)
-                assert bool(needs[k]) == (x > lower + epsilon or x < upper - epsilon)
-
-    def test_probe_line_values_match_value_at(self):
-        """The 1-D probe evaluates each bound over its window as
-        ``ts * slope + intercept``: element for element ``Line.value_at``."""
-        rng = np.random.default_rng(5)
-        ts = np.cumsum(rng.uniform(0.1, 1.0, 64))
-        for _ in range(4):
-            line = Line(rng.normal(), rng.normal())
-            window = ts * line.slope + line.intercept
-            for t, value in zip(ts.tolist(), window.tolist()):
-                assert value == line.value_at(t)
-
-    def test_first_true(self):
-        assert kernels.first_true(np.array([False, False, True, True])) == 2
-        assert kernels.first_true(np.array([False, False])) == 2
-        assert kernels.first_true(np.array([], dtype=bool)) == 0
-
-
 class TestConnectionCheck:
     """Slide's connection check against the array form of its predicate.
 
@@ -208,99 +120,6 @@ class TestClipStandIn:
 
 
 # --------------------------------------------------------------------------- #
-# Hull bulk insertion
-# --------------------------------------------------------------------------- #
-class TestHullAddMany:
-    @pytest.mark.parametrize("seed", range(8))
-    def test_bulk_chains_match_per_point(self, seed):
-        rng = np.random.default_rng(seed)
-        length = int(rng.integers(2, 600))
-        times = np.cumsum(rng.uniform(0.05, 2.0, length))
-        values = np.cumsum(rng.normal(0.0, rng.uniform(0.01, 2.0), length))
-        reference = IncrementalConvexHull()
-        for t, x in zip(times.tolist(), values.tolist()):
-            reference.add(t, x)
-        bulk = IncrementalConvexHull()
-        position = 0
-        while position < length:
-            step = int(rng.integers(1, 64))
-            bulk.add_many(times[position : position + step], values[position : position + step])
-            position += step
-        assert bulk.upper == reference.upper
-        assert bulk.lower == reference.lower
-        assert bulk.size == reference.size
-
-    def test_interleaved_scalar_and_bulk(self):
-        rng = np.random.default_rng(99)
-        times = np.cumsum(rng.uniform(0.1, 1.0, 400))
-        values = rng.normal(0.0, 1.0, 400)
-        reference = IncrementalConvexHull(zip(times, values))
-        mixed = IncrementalConvexHull()
-        position = 0
-        toggle = False
-        while position < 400:
-            step = int(rng.integers(1, 40))
-            chunk_t = times[position : position + step]
-            chunk_x = values[position : position + step]
-            if toggle:
-                for t, x in zip(chunk_t, chunk_x):
-                    mixed.add(t, x)
-            else:
-                mixed.add_many(chunk_t, chunk_x)
-            toggle = not toggle
-            position += step
-        assert mixed.vertices() == reference.vertices()
-
-    def test_collinear_runs_keep_endpoints_only(self):
-        hull = IncrementalConvexHull()
-        times = np.arange(50.0)
-        hull.add_many(times, 2.0 * times + 1.0)
-        assert hull.vertices() == [(0.0, 1.0), (49.0, 99.0)]
-
-    def test_large_bulk_uses_vectorized_merge(self):
-        rng = np.random.default_rng(17)
-        times = np.arange(5000.0)
-        values = np.cumsum(rng.normal(0.0, 0.4, 5000))
-        reference = IncrementalConvexHull(zip(times, values))
-        bulk = IncrementalConvexHull()
-        bulk.add_many(times, values)  # > scalar-merge limit in one call
-        assert bulk.vertices() == reference.vertices()
-
-    def test_add_many_validates_order(self):
-        hull = IncrementalConvexHull([(0.0, 0.0), (1.0, 1.0)])
-        with pytest.raises(ValueError):
-            hull.add_many(np.array([0.5, 2.0]), np.array([0.0, 0.0]))
-        with pytest.raises(ValueError):
-            hull.add_many(np.array([2.0, 2.0]), np.array([0.0, 0.0]))
-        with pytest.raises(ValueError):
-            hull.add_many(np.array([[2.0], [3.0]]), np.array([[0.0], [0.0]]))
-
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the vectorized merge of runs above the scalar-merge limit decides "
-        "turns on other triples than the per-point pushes, and cross products of "
-        "subnormal differences underflow, so the chains can differ",
-    )
-    def test_vectorized_merge_matches_per_point_on_subnormals(self):
-        times = np.arange(1, 259) * 0.5
-        values = np.tile([-0.0, -0.0, -5e-324], 86)
-        per_point = IncrementalConvexHull(zip(times.tolist(), values.tolist()))
-        bulk = IncrementalConvexHull()
-        bulk.add_many(times, values)
-        assert bulk.upper == per_point.upper
-
-    def test_pending_points_visible_to_reads(self):
-        hull = IncrementalConvexHull()
-        hull.add_many(np.array([0.0, 1.0, 2.0]), np.array([0.0, 5.0, 0.0]))
-        assert hull.size == 3
-        assert hull.contains_time(1.5)
-        chain_t, chain_x = hull.upper_chain()
-        assert list(chain_t) == [0.0, 1.0, 2.0]
-        chain_t, chain_x = hull.lower_chain()
-        assert list(chain_t) == [0.0, 2.0]
-
-
-# --------------------------------------------------------------------------- #
 # Tangent binary searches
 # --------------------------------------------------------------------------- #
 class TestChainTangents:
@@ -335,8 +154,7 @@ class TestChainTangents:
         rng = np.random.default_rng(seed)
         times = np.cumsum(rng.uniform(0.1, 1.0, 300))
         values = np.cumsum(rng.normal(0.0, 1.0, 300))
-        hull = IncrementalConvexHull()
-        hull.add_many(times, values)
+        hull = IncrementalConvexHull(zip(times.tolist(), values.tolist()))
         t_new = float(times[-1]) + 1.0
         support = hull.vertices()
         queries = [float(rng.normal(values[-1], 20.0)) for _ in range(60)]
@@ -575,16 +393,24 @@ def chunk_bounds(length, cuts):
     return list(zip(edges, edges[1:]))
 
 
-def check_grid_stream(times, rows, epsilon, cuts, filter_class=SwingFilter):
-    """Batch equals ``feed()`` bitwise, and every between-chunk snapshot resumes
-    it through ``process_batch`` and through ``feed()``."""
+def feed_bits(instance, times, values):
+    recordings = []
+    for t, v in zip(times, values):
+        recordings += instance.feed(t, v)
+    return recording_bits(recordings + instance.finish())
+
+
+def check_grid_stream(
+    times, rows, epsilon, cuts, filter_class=SwingFilter, reference_class=None
+):
+    """``feed()`` and the batch path record the reference's ``feed()`` bytes
+    (the filter's own by default), and every between-chunk snapshot resumes
+    them through ``process_batch`` and through ``feed()``."""
     times = np.array(times)
     values = np.array(rows)
-    reference = filter_class(epsilon)
-    expected = []
-    for t, v in zip(times, values):
-        expected += reference.feed(t, v)
-    expected = recording_bits(expected + reference.finish())
+    expected = feed_bits((reference_class or filter_class)(epsilon), times, values)
+    if reference_class is not None:
+        assert feed_bits(filter_class(epsilon), times, values) == expected
 
     chunks = chunk_bounds(len(times), cuts)
     batch = filter_class(epsilon)
@@ -603,23 +429,165 @@ def check_grid_stream(times, rows, epsilon, cuts, filter_class=SwingFilter):
             tail += resumed.process_batch(times[start:stop], values[start:stop])
         assert recording_bits(tail + resumed.finish()) == expected[emitted:]
         resumed = filter_class(1.0).restore(pickle.loads(state))
-        tail = []
         resume_at = chunks[index][0]
-        for t, v in zip(times[resume_at:], values[resume_at:]):
-            tail += resumed.feed(t, v)
-        assert recording_bits(tail + resumed.finish()) == expected[emitted:]
+        assert feed_bits(resumed, times[resume_at:], values[resume_at:]) == expected[emitted:]
+
+
+class NumpySwing(StreamFilter):
+    """Swing's per-point step on ``(d,)`` numpy arrays, the reference for
+    the float step that replaced it (as ``LineCloseSlide`` is for slide's
+    float close).
+
+    ``np.minimum`` / ``np.maximum`` return their second operand on a tie and
+    ``np.clip`` with array bounds returns the bound; the float step writes
+    these rules as conditionals and :func:`kernels.clip_ties_to_bounds`.
+    """
+
+    name = "swing-numpy"
+
+    def __init__(self, epsilon, max_lag=None):
+        super().__init__(epsilon, max_lag=max_lag)
+        self._anchor_time = None
+        self._anchor_value = None
+        self._upper_slope = None
+        self._lower_slope = None
+        self._sum_xt = None
+        self._sum_tt = 0.0
+        self._last_point = None
+        self._interval_points = 0
+        self._locked_slope = None
+
+    def _feed_point(self, point):
+        if self._anchor_time is None:
+            self._emit(point.time, point.value, RecordingKind.SEGMENT_START)
+            self._anchor_time = point.time
+            self._anchor_value = point.value.copy()
+            self._last_point = point
+            return
+        if self._locked_slope is not None:
+            self._feed_locked(point)
+            return
+        if self._upper_slope is None:
+            self._open_bounds(point)
+            self._accumulate(point)
+            self._after_accept(point)
+            return
+        epsilon = self._epsilon_array()
+        dt = point.time - self._anchor_time
+        upper_candidate = (point.value + epsilon - self._anchor_value) / dt
+        lower_candidate = (point.value - epsilon - self._anchor_value) / dt
+        if np.all(lower_candidate <= self._upper_slope) and np.all(
+            upper_candidate >= self._lower_slope
+        ):
+            self._upper_slope = np.minimum(self._upper_slope, upper_candidate)
+            self._lower_slope = np.maximum(self._lower_slope, lower_candidate)
+            self._accumulate(point)
+            self._after_accept(point)
+            return
+        self._close_segment(self._last_point.time)
+        self._open_bounds(point)
+        self._reset_sums(point)
+        self._last_point = point
+        self._interval_points = 1
+
+    def _finish_stream(self):
+        if self._last_point.time <= self._anchor_time:
+            return
+        if self._locked_slope is not None:
+            end_value = self._anchor_value + self._locked_slope * (
+                self._last_point.time - self._anchor_time
+            )
+            self._emit(self._last_point.time, end_value, RecordingKind.SEGMENT_END)
+            return
+        self._close_segment(self._last_point.time)
+
+    def _open_bounds(self, point):
+        epsilon = self._epsilon_array()
+        dt = point.time - self._anchor_time
+        self._upper_slope = (point.value + epsilon - self._anchor_value) / dt
+        self._lower_slope = (point.value - epsilon - self._anchor_value) / dt
+
+    def _accumulate(self, point):
+        dt = point.time - self._anchor_time
+        contribution = (point.value - self._anchor_value) * dt
+        self._sum_xt = contribution if self._sum_xt is None else self._sum_xt + contribution
+        self._sum_tt += dt * dt
+
+    def _reset_sums(self, point):
+        dt = point.time - self._anchor_time
+        self._sum_xt = (point.value - self._anchor_value) * dt
+        self._sum_tt = dt * dt
+
+    def _optimal_slope(self):
+        if self._sum_tt <= 0.0 or self._sum_xt is None:
+            return (self._upper_slope + self._lower_slope) / 2.0
+        low = np.minimum(self._upper_slope, self._lower_slope)
+        high = np.maximum(self._upper_slope, self._lower_slope)
+        return np.clip(self._sum_xt / self._sum_tt, low, high)
+
+    def _close_segment(self, end_time):
+        slope = self._optimal_slope()
+        end_value = self._anchor_value + slope * (end_time - self._anchor_time)
+        self._emit(end_time, end_value, RecordingKind.SEGMENT_END)
+        self._anchor_time = float(end_time)
+        self._anchor_value = end_value
+        self._upper_slope = self._lower_slope = self._sum_xt = None
+        self._sum_tt = 0.0
+        self._locked_slope = None
+
+    def _after_accept(self, point):
+        self._last_point = point
+        self._interval_points += 1
+        if (
+            self.max_lag is not None
+            and self._locked_slope is None
+            and self._interval_points >= self.max_lag
+        ):
+            slope = self._optimal_slope()
+            lock_value = self._anchor_value + slope * (point.time - self._anchor_time)
+            self._emit(point.time, lock_value, RecordingKind.SEGMENT_END)
+            self._anchor_time = point.time
+            self._anchor_value = lock_value
+            self._locked_slope = slope
+            self._upper_slope = self._lower_slope = self._sum_xt = None
+            self._sum_tt = 0.0
+            self._interval_points = 0
+
+    def _feed_locked(self, point):
+        prediction = self._anchor_value + self._locked_slope * (point.time - self._anchor_time)
+        if np.all(np.abs(point.value - prediction) <= self._epsilon_array()):
+            self._last_point = point
+            self._interval_points += 1
+            if self._interval_points >= self.max_lag:
+                self._emit(point.time, prediction, RecordingKind.SEGMENT_END)
+                self._anchor_time = point.time
+                self._anchor_value = prediction
+                self._interval_points = 0
+            return
+        if self._last_point.time > self._anchor_time:
+            end_value = self._anchor_value + self._locked_slope * (
+                self._last_point.time - self._anchor_time
+            )
+            self._emit(self._last_point.time, end_value, RecordingKind.SEGMENT_END)
+            self._anchor_time = self._last_point.time
+            self._anchor_value = end_value
+        self._locked_slope = None
+        self._open_bounds(point)
+        self._reset_sums(point)
+        self._last_point = point
+        self._interval_points = 1
 
 
 class TestSwingSignedZeros:
     """Ties between candidate slopes decide the sign of a zero bound or slope.
 
-    ``np.minimum`` / ``np.maximum`` return their second operand on a tie and
-    ``np.clip`` with array bounds returns the bound; the pinned examples each
-    fail if the 1-D float core breaks one of those rules (the lower-bound
-    swing, the upper-bound swing, the upper end of the ordered bounds, and
-    the clamp written as builtin ``min``/``max``), and the last 1-D example
-    failed at the earlier window-scan batch path, which began the moment sum
-    at ``0.0 + -0.0``.
+    The float step, through ``feed()`` and the batch path, must record the
+    bytes :class:`NumpySwing` records.  The pinned examples each fail if the
+    float step breaks one of numpy's tie rules (the lower-bound swing, the
+    upper-bound swing, the upper end of the ordered bounds, and the clamp
+    written as builtin ``min``/``max``), and the last 1-D example failed at
+    an earlier window-scan batch path, which began the moment sum at
+    ``0.0 + -0.0``.
     """
 
     @given(stream=grid_streams(dimensions=1))
@@ -630,7 +598,7 @@ class TestSwingSignedZeros:
     @example(stream=([1.0, 1.5], [[-0.0], [-TINY]], [0.5], [1]))
     @settings(max_examples=300, deadline=None)
     def test_one_dimension(self, stream):
-        check_grid_stream(*stream)
+        check_grid_stream(*stream, reference_class=NumpySwing)
 
     @given(stream=grid_streams(dimensions=2))
     @example(
@@ -638,7 +606,19 @@ class TestSwingSignedZeros:
     )
     @settings(max_examples=100, deadline=None)
     def test_two_dimensions(self, stream):
-        check_grid_stream(*stream)
+        check_grid_stream(*stream, reference_class=NumpySwing)
+
+    @pytest.mark.parametrize("dimensions", [1, 2])
+    @given(data=st.data(), max_lag=st.integers(2, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_bounded_lag(self, dimensions, data, max_lag):
+        """The locked segment's predictions, its check and its lag
+        recordings, on the same grids."""
+        check_grid_stream(
+            *data.draw(grid_streams(dimensions=dimensions)),
+            filter_class=functools.partial(SwingFilter, max_lag=max_lag),
+            reference_class=functools.partial(NumpySwing, max_lag=max_lag),
+        )
 
 
 # --------------------------------------------------------------------------- #
@@ -653,49 +633,8 @@ SLIDE_GRID_VALUES = [-0.0, 0.0] + [k * TINY for k in (-3, -2, -1, 1, 2, 3)] + [
 SLIDE_GRID_EPSILONS = [0.0, TINY, 0.5, 1.0]
 
 
-def chain_bits(hull):
-    """The hull's four chain columns as bytes (``-0.0`` differs from ``0.0``)."""
-    return [
-        np.array(column, dtype=float).tobytes()
-        for column in (*hull.upper_chain(), *hull.lower_chain())
-    ]
-
-
 def line_bits(line):
     return np.array([line.slope, line.intercept], dtype=float).tobytes()
-
-
-def check_hull_insertions(times, values, cuts):
-    """``add`` and ``add_many`` (in chunks cut at ``cuts``) build the same chains.
-
-    The chains are read after every chunk, so each chunk is merged on its
-    own: point by point up to the scalar-merge limit, and by the vectorized
-    merge onto the chains built so far beyond it.
-    """
-    per_point = IncrementalConvexHull()
-    for t, x in zip(times, values):
-        per_point.add(t, x)
-    bulk = IncrementalConvexHull()
-    for start, stop in chunk_bounds(len(times), cuts):
-        bulk.add_many(times[start:stop], values[start:stop])
-        bulk.upper_chain()
-    assert chain_bits(bulk) == chain_bits(per_point)
-
-
-def repeated_past_merge_limit(times, values):
-    """The stream repeated, later copies shifted in time, to over
-    ``_SCALAR_MERGE_LIMIT`` points; subnormal values become signed zeros.
-
-    Its last chunk then takes the hull's vectorized merge.  Subnormals are
-    left out because that merge and the per-point pushes test different
-    triples, and their cross products underflow differently (the strict
-    xfail in ``TestHullAddMany``).
-    """
-    copies = _SCALAR_MERGE_LIMIT // len(times) + 1
-    span = times[-1]
-    long_times = [t + copy * span for copy in range(copies) for t in times]
-    exact = [math.copysign(0.0, x) if abs(x) < 1.0 else x for x in values]
-    return long_times, exact * copies
 
 
 class TestSlideTies:
@@ -704,9 +643,7 @@ class TestSlideTies:
     Batch must equal ``feed()`` byte for byte and a snapshot taken between
     any two chunks must continue identically through ``process_batch`` and
     through ``feed()`` (a bound update that depended on anything but the
-    chain, the point and ε, which a snapshot does not carry, shows), and the
-    hull must build the same chains through ``add`` and ``add_many``, on the
-    stream and on it repeated past the scalar-merge limit.
+    chain, the point and ε, which a snapshot does not carry, shows).
     """
 
     @given(
@@ -717,8 +654,8 @@ class TestSlideTies:
             max_length=40,
         )
     )
-    # A probe then the core on signed-zero slopes: each fails if the core
-    # keeps the current lower (first) or upper (second) bound on a tie.
+    # Signed-zero slopes after a silent run: each fails if the core keeps
+    # the current lower (first) or upper (second) bound on a tie.
     @example(
         stream=(
             [0.5 * k for k in range(1, 26)] + [17.5, 18.0, 20.0, 20.5],
@@ -764,11 +701,7 @@ class TestSlideTies:
     )
     @settings(max_examples=300, deadline=None)
     def test_one_dimension(self, stream):
-        times, rows, epsilon, cuts = stream
-        check_grid_stream(times, rows, epsilon, cuts, filter_class=SlideFilter)
-        values = [row[0] for row in rows]
-        check_hull_insertions(times, values, cuts)
-        check_hull_insertions(*repeated_past_merge_limit(times, values), cuts)
+        check_grid_stream(*stream, filter_class=SlideFilter)
 
 
 class TestChainTangentTies:
